@@ -4,9 +4,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint test bench bench-smoke serve-smoke solvers-smoke chaos-smoke obs-smoke incremental-smoke shard-smoke
+.PHONY: check lint test perfbench-test bench bench-smoke serve-smoke solvers-smoke chaos-smoke obs-smoke incremental-smoke shard-smoke
 
-check: lint test solvers-smoke incremental-smoke serve-smoke chaos-smoke obs-smoke shard-smoke bench-smoke
+check: lint test perfbench-test solvers-smoke incremental-smoke serve-smoke chaos-smoke obs-smoke shard-smoke bench-smoke
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -17,6 +17,11 @@ lint:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# the end-to-end benchmark's own helper tests (percentiles, /proc CPU sums,
+# host-speed scaling); tier-1 testpaths stay `tests`
+perfbench-test:
+	$(PYTHON) -m pytest perfbench -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q -s

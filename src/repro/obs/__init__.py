@@ -7,8 +7,8 @@ One stdlib-only observability layer the whole pipeline reports into:
   inside a worker ride the result dict home and are stitched back onto
   the request's trace, surviving worker crashes and retries);
 * :mod:`repro.obs.metrics` — the process-wide metrics core (counters,
-  gauges, ring-buffer histograms) that :mod:`repro.service.metrics` is a
-  thin shim over;
+  gauges, ring-buffer histograms) the service and the profiler record
+  into;
 * :mod:`repro.obs.prom` — Prometheus text exposition rendering of a
   metrics snapshot (served by ``GET /metrics`` under content
   negotiation);

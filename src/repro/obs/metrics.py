@@ -8,11 +8,10 @@ lives in one :class:`MetricsRegistry`, renderable either as plain JSON
 (:meth:`MetricsRegistry.snapshot`) or in Prometheus text exposition
 format (:func:`repro.obs.prom.render_prometheus`).
 
-This used to be :mod:`repro.service.metrics`; that module remains as a
-thin import shim.  Instrument names follow a colon convention the
-Prometheus renderer understands: ``base[:path[:status]]`` — e.g.
-``latency_ms:/schedule`` or ``responses:/schedule:200`` — so one base
-name fans out into labeled series without a label API.
+Instrument names follow a colon convention the Prometheus renderer
+understands: ``base[:path[:status]]`` — e.g. ``latency_ms:/schedule`` or
+``responses:/schedule:200`` — so one base name fans out into labeled
+series without a label API.
 
 Single-threaded by design: all mutation happens on the event loop (or in
 one worker), so no locks are needed.  Processes do not share registries;
@@ -182,6 +181,18 @@ class MetricsRegistry:
         if name not in self._histograms:
             self._histograms[name] = Histogram(self._histogram_window)
         return self._histograms[name]
+
+    def observe_stages(self, spans) -> None:
+        """Feed one request's finished spans into ``stage_ms:<name>``.
+
+        Colons in span names (``solver:subinterval-der``) become dots so
+        the Prometheus renderer's label convention stays unambiguous; this
+        puts the per-stage latency breakdown on ``GET /metrics`` even when
+        no trace file is configured.
+        """
+        for sp in spans:
+            name = sp["name"].replace(":", ".")
+            self.histogram(f"stage_ms:{name}").observe(float(sp.get("dur_ms", 0.0)))
 
     def snapshot(self) -> dict:
         """The full registry as plain JSON-ready dicts."""

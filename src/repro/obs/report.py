@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ..service.protocol import base_path
 from .metrics import percentile
 
 __all__ = [
@@ -102,15 +103,17 @@ class TraceView:
             return float(root.get("dur_ms", 0.0))
         return max((float(sp.get("dur_ms", 0.0)) for sp in self.spans), default=0.0)
 
+    def endpoint(self) -> str:
+        """The root span's request path without its version prefix."""
+        return base_path((self.root or {}).get("attrs", {}).get("path", ""))
+
     @property
     def names(self) -> set[str]:
         return {sp["name"] for sp in self.spans}
 
     def is_scheduled(self) -> bool:
         """True when this trace dispatched real solver work (cache miss)."""
-        root = self.root
-        path = (root or {}).get("attrs", {}).get("path", "")
-        return path in ("/schedule", "/optimal") and not self.cache_hit()
+        return self.endpoint() in ("/schedule", "/optimal") and not self.cache_hit()
 
     def cache_hit(self) -> bool:
         for sp in self.by_name("cache.probe"):
@@ -199,8 +202,7 @@ def cache_attribution(traces: list[TraceView]) -> dict:
     hits: list[float] = []
     misses: list[float] = []
     for tv in traces:
-        root = tv.root
-        if root is None or root.get("attrs", {}).get("path") != "/schedule":
+        if tv.endpoint() != "/schedule":
             continue
         (hits if tv.cache_hit() else misses).append(tv.duration_ms)
     total = len(hits) + len(misses)

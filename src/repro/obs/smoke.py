@@ -28,7 +28,8 @@ import sys
 import tempfile
 
 from ..service.config import ServiceConfig
-from ..service.loadgen import request_once, run_loadgen
+from ..service.http11 import request_once
+from ..service.loadgen import run_loadgen
 from ..service.server import SchedulingService
 from .report import group_traces, load_spans, trace_summary
 

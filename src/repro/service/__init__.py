@@ -20,8 +20,9 @@ Architecture
 * :mod:`~repro.service.cache` is an LRU keyed by a canonical hash of
   (task set, m, power, method); permuted task orders hit the same entry,
   and a warm hit never enters the process pool.
-* :mod:`~repro.service.metrics` is the observability registry rendered
-  at ``/metrics`` and in a periodic log line.
+* :mod:`~repro.service.http11` is the one HTTP/1.1 layer — head
+  parsing, encoders, the keep-alive connection loop and the client —
+  under the daemon, the router and the load generator alike.
 * :mod:`~repro.service.pool` supervises the solver workers: dead workers
   are respawned and their in-flight work re-dispatched (at most once,
   jittered exponential backoff) before jobs are abandoned with an error.
@@ -36,16 +37,19 @@ Architecture
   least-outstanding, ``/admit`` placed by consistent hash of the platform
   signature, shard death absorbed by respawn + admit-journal replay.
 
+Metrics live in :mod:`repro.obs.metrics` (one registry per process,
+rendered at ``/metrics`` and in a periodic log line).
+
 Every endpoint is served both under the versioned ``/v1`` prefix (with
 the ``{"result", "meta"}`` response envelope and the unified error
 schema) and at the bare legacy path (deprecated shim; see ``docs/api.md``).
 """
 
+from ..obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .batcher import MicroBatcher
 from .cache import PlanCache
 from .config import RetryPolicy, ServiceConfig
 from .faults import FaultInjector, FaultSpec
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .protocol import (
     API_VERSION,
     AdmitRequest,

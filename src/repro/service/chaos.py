@@ -34,10 +34,11 @@ import json
 import sys
 import time
 
+from ..obs.metrics import MetricsRegistry
 from .config import RetryPolicy, ServiceConfig
 from .faults import FaultInjector, FaultSpec
-from .loadgen import HttpClient, _make_tasksets, run_loadgen
-from .metrics import MetricsRegistry
+from .http11 import HttpClient
+from .loadgen import _make_tasksets, run_loadgen
 from .pool import SolveDispatcher
 from .server import SchedulingService
 

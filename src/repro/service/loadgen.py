@@ -1,7 +1,7 @@
 """Async load generator for benchmarking the scheduling daemon.
 
-A stdlib HTTP/1.1 client (keep-alive over asyncio streams) plus a
-closed-loop load driver: ``concurrency`` workers each hold one persistent
+A closed-loop load driver over the :mod:`~repro.service.http11`
+keep-alive client: ``concurrency`` workers each hold one persistent
 connection and pull request indices from a shared counter until
 ``n_requests`` have been issued.  The workload is a pool of ``unique``
 paper-style task sets cycled round-robin — ``unique < n_requests``
@@ -28,169 +28,15 @@ import asyncio
 import json
 import time
 
+from ..obs.metrics import percentile
 from .faults import FaultInjector, FaultSpec
-from .metrics import percentile
+from .http11 import HttpClient, request_once
 
 __all__ = [
-    "HttpClient",
-    "request_once",
     "run_loadgen",
     "format_stats",
     "collect_shard_report",
 ]
-
-
-class HttpClient:
-    """One persistent HTTP/1.1 connection speaking JSON."""
-
-    def __init__(self, host: str, port: int):
-        self.host = host
-        self.port = port
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-
-    async def connect(self) -> None:
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
-        )
-
-    async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._reader = self._writer = None
-
-    def encode_request(
-        self,
-        method: str,
-        path: str,
-        payload: dict | None = None,
-        headers: dict | None = None,
-    ) -> bytes:
-        """Serialize one request to wire bytes (reusable across sends)."""
-        body = json.dumps(payload).encode() if payload is not None else b""
-        extra = "".join(f"{k}: {v}\r\n" for k, v in (headers or {}).items())
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{extra}"
-            "\r\n"
-        ).encode("latin-1")
-        return head + body
-
-    async def request(
-        self,
-        method: str,
-        path: str,
-        payload: dict | None = None,
-        headers: dict | None = None,
-    ) -> tuple[int, dict]:
-        """Issue one request; reconnects transparently if the peer closed."""
-        return await self.request_encoded(
-            self.encode_request(method, path, payload, headers)
-        )
-
-    async def request_full(
-        self,
-        method: str,
-        path: str,
-        payload: dict | None = None,
-        headers: dict | None = None,
-    ) -> tuple[int, dict, dict]:
-        """Like :meth:`request` but also returns the response headers.
-
-        For callers that assert on wire metadata — the ``Deprecation``
-        header of the legacy shims, content types, shard labels.
-        """
-        status, resp_headers, data = await self.request_raw(
-            self.encode_request(method, path, payload, headers)
-        )
-        return status, resp_headers, self._decode_body(resp_headers, data)
-
-    async def request_encoded(
-        self, data: bytes, decode: bool = True
-    ) -> tuple[int, dict]:
-        """Send pre-encoded request bytes (the loadgen hot path).
-
-        ``decode=False`` still reads the full body off the socket but skips
-        ``json.loads`` — for drivers that only care about the status code.
-        """
-        status, headers, body = await self.request_raw(data)
-        if not decode:
-            return status, {}
-        return status, self._decode_body(headers, body)
-
-    async def request_raw(
-        self, data: bytes
-    ) -> tuple[int, dict, bytes]:
-        """Send pre-encoded bytes; return (status, headers, raw body bytes).
-
-        The router's forwarding path: shard response bodies pass through
-        byte-for-byte, never re-serialized.  Reconnects transparently once
-        if the peer closed the keep-alive connection.
-        """
-        if self._writer is None:
-            await self.connect()
-        try:
-            self._writer.write(data)
-            await self._writer.drain()
-            return await self._read_response()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            # server closed the keep-alive connection: retry once, fresh
-            await self.close()
-            await self.connect()
-            self._writer.write(data)
-            await self._writer.drain()
-            return await self._read_response()
-
-    @staticmethod
-    def _decode_body(headers: dict, data: bytes) -> dict:
-        if not data:
-            return {}
-        # non-JSON bodies (e.g. a Prometheus exposition) come back raw
-        if "json" in headers.get("content-type", "application/json"):
-            return json.loads(data.decode())
-        return {"text": data.decode()}
-
-    async def _read_response(self) -> tuple[int, dict, bytes]:
-        try:
-            head = await self._reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            raise ConnectionError("server closed connection") from exc
-        lines = head.decode("latin-1").split("\r\n")
-        status = int(lines[0].split()[1])
-        headers: dict[str, str] = {}
-        for raw in lines[1:]:
-            if ":" in raw:
-                name, _, value = raw.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        data = await self._reader.readexactly(length) if length else b""
-        if headers.get("connection", "").lower() == "close":
-            await self.close()
-        return status, headers, data
-
-
-async def request_once(
-    host: str,
-    port: int,
-    method: str,
-    path: str,
-    payload: dict | None = None,
-    headers: dict | None = None,
-) -> tuple[int, dict]:
-    """One-shot request on a throwaway connection (smoke tests)."""
-    client = HttpClient(host, port)
-    await client.connect()
-    try:
-        return await client.request(method, path, payload, headers)
-    finally:
-        await client.close()
 
 
 async def collect_shard_report(host: str, port: int) -> dict | None:
@@ -270,6 +116,62 @@ def _make_admit_stream(
     ]
 
 
+async def _drive(host: str, port: int, n_requests: int, concurrency: int, request_for) -> dict:
+    """The closed loop every workload shares.
+
+    ``concurrency`` workers, each on one keep-alive connection, send
+    ``request_for(i)`` for ``i = 0 .. n_requests-1``.  ``request_for``
+    returns the request's wire bytes and an optional ``on_reply(status,
+    body)``; a reply it answers False for is kept out of the latency and
+    status tallies.  Returns RPS, statuses, errors and latency percentiles.
+    """
+    latencies: list[float] = []
+    statuses: dict[int, int] = {}
+    errors = 0
+    indices = iter(range(n_requests))  # shared: each index is sent once
+
+    async def worker() -> None:
+        nonlocal errors
+        client = HttpClient(host, port)
+        await client.connect()
+        try:
+            for i in indices:
+                data, on_reply = request_for(i)
+                t0 = time.perf_counter()
+                try:
+                    status, _, body = await client.request_raw(data)
+                except (ConnectionError, asyncio.IncompleteReadError, OSError):
+                    errors += 1
+                    await client.close()
+                    continue
+                ms = (time.perf_counter() - t0) * 1e3
+                if on_reply is None or on_reply(status, body):
+                    latencies.append(ms)
+                    statuses[status] = statuses.get(status, 0) + 1
+        finally:
+            await client.close()
+
+    t_start = time.perf_counter()
+    await asyncio.gather(*(worker() for _ in range(min(concurrency, n_requests))))
+    elapsed = time.perf_counter() - t_start
+    return {
+        "requests": n_requests,
+        "concurrency": concurrency,
+        "elapsed_s": round(elapsed, 6),
+        "rps": round(n_requests / elapsed, 3) if elapsed > 0 else float("inf"),
+        "ok": statuses.get(200, 0),
+        "shed": statuses.get(429, 0),
+        "errors": errors,
+        "statuses": {str(k): v for k, v in sorted(statuses.items())},
+        "latency_ms": {
+            "mean": round(sum(latencies) / len(latencies), 4) if latencies else None,
+            "p50": round(percentile(latencies, 50), 4) if latencies else None,
+            "p95": round(percentile(latencies, 95), 4) if latencies else None,
+            "p99": round(percentile(latencies, 99), 4) if latencies else None,
+        },
+    }
+
+
 async def _run_admit_stream(
     host: str,
     port: int,
@@ -298,65 +200,18 @@ async def _run_admit_stream(
                                                       "alpha": alpha,
                                                       "static": static})
 
-    latencies: list[float] = []
-    statuses: dict[int, int] = {}
-    accepted = 0
-    rejected = 0
-    errors = 0
-    next_index = 0
+    verdicts = {"accepted": 0, "rejected": 0}
 
-    def _claim() -> int | None:
-        nonlocal next_index
-        if next_index >= n_requests:
-            return None
-        next_index += 1
-        return next_index - 1
+    def on_reply(status: int, body: bytes) -> bool:
+        if status == 200:
+            accepted = json.loads(body).get("accepted")
+            verdicts["accepted" if accepted else "rejected"] += 1
+        return True
 
-    async def worker() -> None:
-        nonlocal errors, accepted, rejected
-        client = HttpClient(host, port)
-        await client.connect()
-        try:
-            while (i := _claim()) is not None:
-                t0 = time.perf_counter()
-                try:
-                    status, payload = await client.request_encoded(encoded[i])
-                except (ConnectionError, asyncio.IncompleteReadError, OSError):
-                    errors += 1
-                    await client.close()
-                    continue
-                latencies.append((time.perf_counter() - t0) * 1e3)
-                statuses[status] = statuses.get(status, 0) + 1
-                if status == 200:
-                    if payload.get("accepted"):
-                        accepted += 1
-                    else:
-                        rejected += 1
-        finally:
-            await client.close()
-
-    t_start = time.perf_counter()
-    await asyncio.gather(*(worker() for _ in range(min(concurrency, n_requests))))
-    elapsed = time.perf_counter() - t_start
-
-    return {
-        "requests": n_requests,
-        "concurrency": concurrency,
-        "elapsed_s": round(elapsed, 6),
-        "rps": round(n_requests / elapsed, 3) if elapsed > 0 else float("inf"),
-        "ok": statuses.get(200, 0),
-        "shed": statuses.get(429, 0),
-        "errors": errors,
-        "statuses": {str(k): v for k, v in sorted(statuses.items())},
-        "admit": {"accepted": accepted, "rejected": rejected},
-        "chaos": None,
-        "latency_ms": {
-            "mean": round(sum(latencies) / len(latencies), 4) if latencies else None,
-            "p50": round(percentile(latencies, 50), 4) if latencies else None,
-            "p95": round(percentile(latencies, 95), 4) if latencies else None,
-            "p99": round(percentile(latencies, 99), 4) if latencies else None,
-        },
-    }
+    stats = await _drive(
+        host, port, n_requests, concurrency, lambda i: (encoded[i], on_reply)
+    )
+    return {**stats, "admit": verdicts, "chaos": None}
 
 
 async def run_loadgen(
@@ -437,76 +292,35 @@ async def run_loadgen(
         for tasks in (pool if n_optimal else [])
     ]
 
-    latencies: list[float] = []
-    statuses: dict[int, int] = {}
     malformed_statuses: dict[int, int] = {}
-    errors = 0
-    next_index = 0
 
-    def _claim() -> int | None:
-        nonlocal next_index
-        if next_index >= n_requests:
-            return None
-        next_index += 1
-        return next_index - 1
+    def tally_malformed(status: int, _body: bytes) -> bool:
+        # tallied apart so garbage requests don't skew the latency/status
+        # picture of the real workload
+        malformed_statuses[status] = malformed_statuses.get(status, 0) + 1
+        return False
 
-    async def worker() -> None:
-        nonlocal errors
-        client = HttpClient(host, port)
-        await client.connect()
-        try:
-            while (i := _claim()) is not None:
-                malformed = injector is not None and injector.should_malform()
-                if malformed:
-                    data = codec.encode_request(
-                        "POST", "/schedule", injector.malformed_payload()
-                    )
-                elif i < n_optimal:
-                    data = optimal_enc[i % unique]
-                elif i < n_optimal + n_admit:
-                    tasks = pool[i % unique]
-                    data = codec.encode_request(
-                        "POST", "/admit", {"task": tasks[i % len(tasks)]}
-                    )
-                else:
-                    data = schedule_enc[i % unique]
-                t0 = time.perf_counter()
-                try:
-                    status, _ = await client.request_encoded(data, decode=False)
-                except (ConnectionError, asyncio.IncompleteReadError, OSError):
-                    errors += 1
-                    await client.close()
-                    continue
-                if malformed:
-                    # tallied apart so garbage requests don't skew the
-                    # latency/status picture of the real workload
-                    malformed_statuses[status] = malformed_statuses.get(status, 0) + 1
-                    continue
-                latencies.append((time.perf_counter() - t0) * 1e3)
-                statuses[status] = statuses.get(status, 0) + 1
-        finally:
-            await client.close()
+    def request_for(i: int):
+        if injector is not None and injector.should_malform():
+            payload = injector.malformed_payload()
+            return codec.encode_request("POST", "/schedule", payload), tally_malformed
+        if i < n_optimal:
+            return optimal_enc[i % unique], None
+        if i < n_optimal + n_admit:
+            tasks = pool[i % unique]
+            return codec.encode_request(
+                "POST", "/admit", {"task": tasks[i % len(tasks)]}
+            ), None
+        return schedule_enc[i % unique], None
 
-    t_start = time.perf_counter()
-    await asyncio.gather(*(worker() for _ in range(min(concurrency, n_requests))))
-    elapsed = time.perf_counter() - t_start
-
-    ok = statuses.get(200, 0)
-    malformed_sent = sum(malformed_statuses.values())
+    stats = await _drive(host, port, n_requests, concurrency, request_for)
     shards = await collect_shard_report(host, port) if shard_report else None
     return {
         **({"shards": shards} if shard_report else {}),
-        "requests": n_requests,
-        "concurrency": concurrency,
-        "elapsed_s": round(elapsed, 6),
-        "rps": round(n_requests / elapsed, 3) if elapsed > 0 else float("inf"),
-        "ok": ok,
-        "shed": statuses.get(429, 0),
-        "errors": errors,
-        "statuses": {str(k): v for k, v in sorted(statuses.items())},
+        **stats,
         "chaos": {
             "spec": spec.format(),
-            "malformed_sent": malformed_sent,
+            "malformed_sent": sum(malformed_statuses.values()),
             "malformed_statuses": {
                 str(k): v for k, v in sorted(malformed_statuses.items())
             },
@@ -514,12 +328,6 @@ async def run_loadgen(
         }
         if injector is not None
         else None,
-        "latency_ms": {
-            "mean": round(sum(latencies) / len(latencies), 4) if latencies else None,
-            "p50": round(percentile(latencies, 50), 4) if latencies else None,
-            "p95": round(percentile(latencies, 95), 4) if latencies else None,
-            "p99": round(percentile(latencies, 99), 4) if latencies else None,
-        },
     }
 
 

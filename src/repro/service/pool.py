@@ -29,7 +29,7 @@ chunk at most :class:`~repro.service.config.RetryPolicy` ``.max_retries``
 times with jittered exponential backoff.  A chunk that crashes again is
 *abandoned*: each of its jobs resolves to an error dict (the client gets
 a clean 5xx, not a hang), and ``worker_restarts`` / ``job_retries`` /
-``jobs_abandoned`` land in the shared :class:`~repro.service.metrics.
+``jobs_abandoned`` land in the shared :class:`~repro.obs.metrics.
 MetricsRegistry`.
 """
 
@@ -48,9 +48,9 @@ from typing import Callable, Sequence
 
 from ..experiments.parallel import chunk_size
 from ..obs import context as obs
+from ..obs.metrics import MetricsRegistry
 from .config import RetryPolicy
 from .faults import FaultInjector, SimulatedWorkerCrash, kill_one_worker
-from .metrics import MetricsRegistry
 
 __all__ = [
     "SolveDispatcher",

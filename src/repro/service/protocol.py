@@ -1,4 +1,9 @@
-"""Wire protocol: request parsing, validation, and canonical cache keys.
+"""Wire protocol: routes, response shaping, request parsing, cache keys.
+
+:data:`ROUTES` is the one route table every deployment serves — the
+daemon and the shard router alike — and :func:`shape_response` dresses
+each payload for the wire dialect its path speaks: the ``/v1`` envelope,
+or the legacy flat errors plus a ``Deprecation`` header.
 
 Request bodies are JSON.  Task sets can arrive in any of three shapes —
 a ``repro-taskset`` envelope (the :mod:`repro.io.taskio` file format), a
@@ -22,10 +27,16 @@ from ..core.task import Task, TaskSet
 from ..engine import UnknownSolverError, resolve_name, solver_names
 from ..io.taskio import taskset_from_json
 from ..power.models import PolynomialPower
+from .http11 import Raw
 
 __all__ = [
     "API_VERSION",
     "ERROR_CODES",
+    "LEGACY_PATHS",
+    "ROUTES",
+    "base_path",
+    "no_route",
+    "shape_response",
     "ProtocolError",
     "ScheduleRequest",
     "AdmitRequest",
@@ -106,6 +117,91 @@ def v1_envelope(payload, meta: dict) -> dict:
     if is_error_body(payload):
         return {"error": payload["error"], "meta": meta}
     return {"result": payload, "meta": meta}
+
+
+#: the endpoints served both at ``/v1<base>`` and at the bare legacy path
+_ENDPOINTS = (
+    ("POST", "/schedule"),
+    ("POST", "/admit"),
+    ("POST", "/optimal"),
+    ("GET", "/metrics"),
+    ("GET", "/healthz"),
+)
+
+#: the bare legacy paths: deprecated shims of their ``/v1`` twins
+LEGACY_PATHS = frozenset(base for _, base in _ENDPOINTS)
+
+#: every ``(method, path)`` a deployment serves
+ROUTES = frozenset(
+    [
+        *_ENDPOINTS,
+        *((method, f"/{API_VERSION}{base}") for method, base in _ENDPOINTS),
+        ("GET", f"/{API_VERSION}/solvers"),
+    ]
+)
+
+_KNOWN_PATHS = frozenset(path for _, path in ROUTES)
+_V1_PREFIX = f"/{API_VERSION}/"
+
+
+def base_path(path: str) -> str:
+    """A path without its version prefix: ``/v1/schedule`` → ``/schedule``.
+
+    The endpoint a route names, whichever dialect it speaks: the daemon
+    and the router dispatch on it, ``repro trace`` counts by it.
+    """
+    return path[len(_V1_PREFIX) - 1:] if path.startswith(_V1_PREFIX) else path
+
+
+def no_route(method: str, path: str) -> tuple[int, dict]:
+    """The answer to a request outside :data:`ROUTES`: 405 for a known
+    path under another method, else 404."""
+    if path in _KNOWN_PATHS:
+        return 405, error_body("method_not_allowed", f"no route {method} {path}")
+    return 404, error_body("not_found", f"no route {method} {path}")
+
+
+def _meta(payload, shard, trace_id: str | None) -> dict:
+    """The ``meta`` block every ``/v1`` response carries."""
+    meta = {
+        "api_version": API_VERSION,
+        "solver": None,
+        "shard": shard,
+        "trace_id": trace_id,
+    }
+    if isinstance(payload, dict) and not is_error_body(payload):
+        meta["solver"] = payload.get("solver") or payload.get("method")
+        if payload.get("degraded_from"):
+            meta["degraded_from"] = payload["degraded_from"]
+    return meta
+
+
+def shape_response(
+    status: int, payload, path: str, shard, trace_id: str | None = None
+) -> tuple:
+    """Dress one payload for the wire dialect ``path`` speaks.
+
+    Returns ``(status, payload, extra headers or None)``.  ``/v1``
+    responses get the envelope (``result``/``error`` + ``meta``, whose
+    ``shard`` names the process that answered); legacy responses get
+    unified errors flattened back to the historical string-``error``
+    shape plus a ``Deprecation`` header pointing at the versioned
+    successor.  A :class:`~repro.service.http11.Raw` body (the Prometheus
+    exposition, a forwarded reply) passes through untouched.
+    """
+    if isinstance(payload, Raw):
+        return status, payload, None
+    if path.startswith(_V1_PREFIX):
+        return status, v1_envelope(payload, _meta(payload, shard, trace_id)), None
+    if is_error_body(payload):
+        payload = flatten_legacy_error(payload)
+    extra = None
+    if path in LEGACY_PATHS:
+        extra = {
+            "Deprecation": "true",
+            "Link": f'</{API_VERSION}{path}>; rel="successor-version"',
+        }
+    return status, payload, extra
 
 
 def schedule_methods() -> tuple[str, ...]:

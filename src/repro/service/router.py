@@ -11,11 +11,14 @@ to N shard processes (:mod:`repro.service.shard`), each a complete
 * **stateful traffic** (``/admit``) is placed by consistent hash of the
   request's platform signature (:func:`~repro.service.shard.platform_key`),
   so each admission session lives on exactly one shard and its delta
-  stream is bit-identical to a single-process deployment,
+  stream is bit-identical to a single-process deployment; admits to one
+  shard run one at a time under that shard's lock, admits to different
+  shards in parallel,
 * **shard death** is absorbed: the failed shard is respawned in place
   (same ring position) and its admission sessions are rebuilt by
   replaying the router's journal of acknowledged admits before the
-  triggering request is retried,
+  triggering request is retried — once per death, however many requests
+  saw it,
 * **observability** is merged: ``GET /metrics`` aggregates every shard's
   JSON page under per-shard keys, the Prometheus exposition renders all
   shards plus the router through one family writer with ``shard="<i>"``
@@ -25,6 +28,11 @@ to N shard processes (:mod:`repro.service.shard`), each a complete
 Forwarded responses pass through **byte-for-byte** (no re-serialization),
 so a ``/v1`` payload served through the router is exactly what the shard
 produced — envelope, ``meta.shard`` and all.
+
+Everything else is the daemon's own code: HTTP framing and the
+connection loop from :mod:`~repro.service.http11`, the route table and
+``/v1``/legacy shaping from :mod:`~repro.service.protocol`, the
+span→``stage_ms`` ingest from :mod:`repro.obs.metrics`.
 """
 
 from __future__ import annotations
@@ -32,46 +40,31 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import signal
 import time
 
 from ..obs import context as obs
+from ..obs.metrics import MetricsRegistry
 from ..obs.prom import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from ..obs.prom import render_prometheus_multi
 from .config import ServiceConfig
-from .loadgen import HttpClient, request_once
-from .metrics import MetricsRegistry
-from .protocol import (
-    API_VERSION,
-    error_body,
-    flatten_legacy_error,
-    is_error_body,
-    v1_envelope,
+from .http11 import (
+    HttpClient,
+    HttpServer,
+    Raw,
+    Request,
+    encode_request,
+    request_once,
 )
+from .protocol import ROUTES, base_path, error_body, no_route, shape_response
+from .server import serve_until_signalled
 from .shard import HashRing, ShardManager, platform_key
 
 __all__ = ["ShardRouter", "run_sharded_service"]
 
 log = logging.getLogger("repro.service.router")
 
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    502: "Bad Gateway",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
-
-_MAX_BODY = 16 * 1024 * 1024
-
-#: request headers the router forwards to shards (plus x-trace-id, which
-#: it always sets so spans stitch across the process hop)
-_FORWARD_HEADERS = ("accept", "content-type")
+#: shard response headers the router passes back to its client
+_PASSTHROUGH_HEADERS = ("deprecation", "link")
 
 
 class ShardRouter:
@@ -88,41 +81,28 @@ class ShardRouter:
         self.ring = HashRing(range(self.n))
         self._outstanding = [0] * self.n
         self._rr = 0  # least-outstanding tie-breaker
-        self._admit_lock = asyncio.Lock()
+        # one lock per shard: its admits run one at a time under it, so the
+        # journal order is the shard's processing order, and a dead shard
+        # is respawned and replayed under it exactly once
+        self._locks = [asyncio.Lock() for _ in range(self.n)]
+        # idle keep-alive connections to each shard, reused across requests
+        self._idle: list[list[HttpClient]] = [[] for _ in range(self.n)]
         # platform key → ordered acknowledged /admit bodies; replayed onto
         # a respawned shard to rebuild its admission sessions
         self._journal: dict[str, list[dict]] = {}
-        self._server: asyncio.base_events.Server | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
-        self._closing = False
+        self._http = HttpServer(self._respond, self._reject)
         self._started_at = 0.0
-        self._bases = {"/schedule", "/admit", "/optimal", "/metrics", "/healthz"}
-        self._routable: set[tuple[str, str]] = set()
-        for method, base in (
-            ("POST", "/schedule"),
-            ("POST", "/admit"),
-            ("POST", "/optimal"),
-            ("GET", "/metrics"),
-            ("GET", "/healthz"),
-        ):
-            self._routable.add((method, base))
-            self._routable.add((method, f"/{API_VERSION}{base}"))
-        self._routable.add(("GET", f"/{API_VERSION}/solvers"))
 
     # -- lifecycle -----------------------------------------------------------------
 
     @property
     def port(self) -> int:
-        if self._server is None:
-            raise RuntimeError("router is not running")
-        return self._server.sockets[0].getsockname()[1]
+        return self._http.port
 
     async def start(self) -> None:
         self._started_at = time.monotonic()
         await self.manager.start()  # shards first: never accept before ready
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.config.host, self.config.port
-        )
+        await self._http.start(self.config.host, self.config.port)
         log.info(
             "router listening on %s:%d (%d shards: %s)",
             self.config.host,
@@ -132,153 +112,22 @@ class ShardRouter:
         )
 
     async def stop(self) -> None:
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for writer in list(self._connections):
-            writer.close()
-        # let per-connection tasks unwind (and close their shard clients)
-        # before the shards those clients talk to are torn down
-        deadline = time.monotonic() + 1.0
-        while self._connections and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
+        await self._http.close()
+        # let client connections unwind before the shards they were
+        # forwarded to are torn down
+        await self._http.close_connections()
+        for shard_id in range(self.n):
+            await self._close_idle(shard_id)
         await self.manager.stop()
-        self._server = None
         log.info("router shutdown complete: %s", self.metrics.summary_line())
-
-    # -- HTTP plumbing (mirrors server.py's minimal HTTP/1.1 subset) ---------------
-
-    async def _handle_conn(self, reader, writer) -> None:
-        self._connections.add(writer)
-        clients: dict[int, HttpClient] = {}  # per-connection shard clients
-        try:
-            while True:
-                request = await self._read_request(reader, writer)
-                if request is None:
-                    break
-                method, path, headers, body = request
-                keep_alive = headers.get("connection", "").lower() != "close"
-                if self._closing:
-                    keep_alive = False
-                    status, payload, extra = self._shape(
-                        503, error_body("shutting_down", "shutting down"), path
-                    )
-                    await self._write_json(
-                        writer, status, payload, keep_alive, extra
-                    )
-                else:
-                    await self._serve(
-                        writer, clients, method, path, headers, body, keep_alive
-                    )
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError):
-            pass  # client went away mid-request
-        finally:
-            self._connections.discard(writer)
-            for client in clients.values():
-                await client.close()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
-    async def _read_request(self, reader, writer):
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None
-            raise
-        lines = head.decode("latin-1").split("\r\n")
-        try:
-            method, target, _version = lines[0].split()
-        except ValueError:
-            await self._write_json(
-                writer,
-                400,
-                flatten_legacy_error(
-                    error_body("bad_request", "malformed request line")
-                ),
-                False,
-            )
-            return None
-        headers: dict[str, str] = {}
-        for raw in lines[1:]:
-            if ":" in raw:
-                name, _, value = raw.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY:
-            status, payload, extra = self._shape(
-                413, error_body("payload_too_large", "body too large"), target
-            )
-            await self._write_json(writer, status, payload, False, extra)
-            return None
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), target, headers, body
-
-    async def _write_json(
-        self, writer, status, payload, keep_alive, extra_headers=None
-    ) -> None:
-        if isinstance(payload, tuple):  # (text, content_type) raw response
-            data = payload[0].encode()
-            ctype = payload[1]
-        else:
-            data = json.dumps(payload).encode()
-            ctype = "application/json"
-        await self._write_raw(
-            writer, status, ctype, data, keep_alive, extra_headers
-        )
-
-    async def _write_raw(
-        self, writer, status, ctype, data, keep_alive, extra_headers=None
-    ) -> None:
-        extra = "".join(
-            f"{k}: {v}\r\n" for k, v in (extra_headers or {}).items()
-        )
-        head = (
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {ctype}\r\n"
-            f"Content-Length: {len(data)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            f"{extra}"
-            "\r\n"
-        ).encode("latin-1")
-        writer.write(head + data)
-        await writer.drain()
-
-    # -- response shaping (router-originated responses only) -----------------------
-
-    def _shape(self, status, payload, path, trace_id=None):
-        """Dress a router-originated payload for the path's wire dialect."""
-        if path.startswith(f"/{API_VERSION}/"):
-            meta = {
-                "api_version": API_VERSION,
-                "solver": None,
-                "shard": "router",
-                "trace_id": trace_id,
-            }
-            return status, v1_envelope(payload, meta), None
-        if is_error_body(payload):
-            payload = flatten_legacy_error(payload)
-        extra = None
-        if path in self._bases:
-            extra = {
-                "Deprecation": "true",
-                "Link": f'</{API_VERSION}{path}>; rel="successor-version"',
-            }
-        return status, payload, extra
 
     # -- routing -------------------------------------------------------------------
 
-    @staticmethod
-    def _base_path(path: str) -> str:
-        prefix = f"/{API_VERSION}"
-        return path[len(prefix):] if path.startswith(prefix + "/") else path
+    def _reply(self, status: int, payload, path: str, trace_id=None) -> tuple:
+        return shape_response(status, payload, path, "router", trace_id)
+
+    def _reject(self, status: int, code: str, message: str, path: str) -> tuple:
+        return self._reply(status, error_body(code, message), path)
 
     def _pick_stateless(self) -> int:
         """Least-outstanding live shard (round-robin tie-break)."""
@@ -300,21 +149,13 @@ class ShardRouter:
             for i in range(self.n)
         )
 
-    async def _serve(
-        self, writer, clients, method, path, headers, body, keep_alive
-    ) -> None:
-        if (method, path) not in self._routable:
-            known = {p for (_, p) in self._routable}
-            status = 405 if path in known else 404
-            code = "method_not_allowed" if status == 405 else "not_found"
-            status, payload, extra = self._shape(
-                status, error_body(code, f"no route {method} {path}"), path
-            )
-            await self._write_json(writer, status, payload, keep_alive, extra)
-            return
+    async def _respond(self, request: Request) -> tuple:
+        method, path, headers, _ = request
+        if (method, path) not in ROUTES:
+            return self._reply(*no_route(method, path), path)
+        base = base_path(path)
 
         self.metrics.counter(f"requests_total:{path}").inc()
-        base = self._base_path(path)
         t0 = time.perf_counter()
         with obs.capture() as spans:
             with obs.span(
@@ -324,23 +165,16 @@ class ShardRouter:
                 method=method,
             ) as root:
                 if base == "/metrics":
-                    status, payload, extra = await self._merged_metrics(
+                    response = await self._merged_metrics(
                         path, headers, root.trace_id
                     )
-                    await self._write_json(
-                        writer, status, payload, keep_alive, extra
-                    )
                 elif base == "/healthz":
-                    status, payload, extra = self._shape(
+                    response = self._reply(
                         200, self._health_payload(), path, root.trace_id
-                    )
-                    await self._write_json(
-                        writer, status, payload, keep_alive, extra
                     )
                 elif self._all_saturated():
                     self.metrics.counter("shed_total").inc()
-                    status = 429
-                    s, payload, extra = self._shape(
+                    response = self._reply(
                         429,
                         error_body(
                             "overloaded",
@@ -354,62 +188,22 @@ class ShardRouter:
                         path,
                         root.trace_id,
                     )
-                    await self._write_json(writer, s, payload, keep_alive, extra)
                 else:
-                    status = await self._forward(
-                        writer,
-                        clients,
-                        method,
-                        path,
-                        headers,
-                        body,
-                        keep_alive,
-                        root,
-                    )
+                    response = await self._forward(request, base, root)
+                status = response[0]
                 root.set("http_status", status)
-        for sp in spans:
-            self.metrics.histogram(
-                f"stage_ms:{sp['name'].replace(':', '.')}"
-            ).observe(float(sp.get("dur_ms", 0.0)))
+        self.metrics.observe_stages(spans)
         self.metrics.histogram(f"latency_ms:{path}").observe(
             (time.perf_counter() - t0) * 1e3
         )
         self.metrics.counter(f"responses:{path}:{status}").inc()
+        return response
 
     # -- forwarding ----------------------------------------------------------------
 
-    def _encode_forward(self, method, path, headers, body, trace_id) -> bytes:
-        fwd = {
-            k: headers[k] for k in _FORWARD_HEADERS if k in headers
-        }
-        fwd["x-trace-id"] = trace_id
-        extra = "".join(f"{k}: {v}\r\n" for k, v in fwd.items())
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: 127.0.0.1\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{extra}"
-            "\r\n"
-        ).encode("latin-1")
-        return head + body
-
-    async def _shard_client(self, clients, shard_id: int) -> HttpClient:
-        shard = self.manager.get(shard_id)
-        client = clients.get(shard_id)
-        if client is None or client.port != shard.port:
-            if client is not None:  # stale: shard was respawned on a new port
-                await client.close()
-            client = HttpClient("127.0.0.1", shard.port)
-            clients[shard_id] = client
-        return client
-
-    async def _forward(
-        self, writer, clients, method, path, headers, body, keep_alive, root
-    ) -> int:
-        base = self._base_path(path)
-        is_admit = base == "/admit"
-        admit_body = None
-        if is_admit:
+    async def _forward(self, request: Request, base: str, root) -> tuple:
+        method, path, headers, body = request
+        if base == "/admit":
             try:
                 admit_body = json.loads(body.decode()) if body else {}
             except (UnicodeDecodeError, json.JSONDecodeError):
@@ -419,21 +213,23 @@ class ShardRouter:
         else:
             shard_id = self._pick_stateless()
         root.set("shard", shard_id)
-        data = self._encode_forward(method, path, headers, body, root.trace_id)
+        fwd = {"x-trace-id": root.trace_id}
+        if "accept" in headers:
+            fwd["accept"] = headers["accept"]
+        data = encode_request(method, path, body, fwd)
 
-        if is_admit:
-            # admissions are stateful: serialize them router-wide so the
-            # journal order matches shard processing order exactly (the
-            # same global serialization the single-process daemon applies)
-            async with self._admit_lock:
-                result = await self._dispatch(clients, shard_id, data, is_admit)
+        if base == "/admit":
+            # admissions are stateful: one at a time per shard, so the
+            # journal order matches the shard's processing order exactly
+            async with self._locks[shard_id]:
+                result = await self._dispatch(shard_id, data, locked=True)
                 if result is not None and admit_body is not None:
                     self._journal_admit(key, admit_body, result[0])
         else:
-            result = await self._dispatch(clients, shard_id, data, is_admit)
+            result = await self._dispatch(shard_id, data, locked=False)
 
         if result is None:
-            status, payload, extra = self._shape(
+            return self._reply(
                 502,
                 error_body(
                     "bad_gateway",
@@ -443,58 +239,72 @@ class ShardRouter:
                 path,
                 root.trace_id,
             )
-            await self._write_json(writer, status, payload, keep_alive, extra)
-            return 502
-
         status, resp_headers, resp_body = result
         self.metrics.counter(f"routed:shard-{shard_id}").inc()
-        fwd_headers = {}
-        if "deprecation" in resp_headers:
-            fwd_headers["Deprecation"] = resp_headers["deprecation"]
-        if "link" in resp_headers:
-            fwd_headers["Link"] = resp_headers["link"]
-        await self._write_raw(
-            writer,
-            status,
-            resp_headers.get("content-type", "application/json"),
-            resp_body,
-            keep_alive,
-            fwd_headers or None,
-        )
-        return status
+        passthrough = {
+            name.title(): resp_headers[name]
+            for name in _PASSTHROUGH_HEADERS
+            if name in resp_headers
+        }
+        ctype = resp_headers.get("content-type", "application/json")
+        return status, Raw(resp_body, ctype), passthrough or None
 
-    async def _dispatch(
-        self, clients, shard_id: int, data: bytes, is_admit: bool
-    ):
-        """One forward with shard-death recovery; None when all retries fail."""
+    async def _dispatch(self, shard_id: int, data: bytes, locked: bool):
+        """One forward with shard-death recovery; None when the retry fails.
+
+        ``locked`` says the caller already holds the shard's lock (an
+        admit), under which recovery must run.
+        """
         self._outstanding[shard_id] += 1
         try:
             for attempt in (1, 2):
-                client = await self._shard_client(clients, shard_id)
+                idle = self._idle[shard_id]
+                if idle:
+                    client = idle.pop()
+                else:
+                    client = HttpClient("127.0.0.1", self.manager.get(shard_id).port)
                 try:
-                    return await client.request_raw(data)
-                except (ConnectionError, OSError,
-                        asyncio.IncompleteReadError):
+                    result = await client.request_raw(data)
+                except (ConnectionError, OSError, asyncio.IncompleteReadError):
                     await client.close()
                     if attempt == 2:
                         return None
-                    await self._recover_shard(shard_id, is_admit)
+                    if locked:
+                        await self._recover(shard_id)
+                    else:
+                        async with self._locks[shard_id]:
+                            await self._recover(shard_id)
+                    continue
+                if client.port == self.manager.get(shard_id).port:
+                    self._idle[shard_id].append(client)
+                else:  # the shard was respawned on a new port meanwhile
+                    await client.close()
+                return result
         finally:
             self._outstanding[shard_id] -= 1
         return None  # pragma: no cover - loop always returns
 
-    async def _recover_shard(self, shard_id: int, holding_admit_lock: bool):
-        """Respawn a dead shard and replay its admission sessions."""
+    async def _recover(self, shard_id: int) -> None:
+        """Respawn a dead shard and replay its admission sessions.
+
+        The caller holds the shard's lock, so of all the requests that saw
+        one death only the first respawns and replays; the rest find the
+        shard alive again.
+        """
         shard = self.manager.shards[shard_id]
         if shard is not None and shard.alive:
-            return  # transient connection error, not a death: just retry
-        self.metrics.counter("shard_respawns_total").inc()
+            return  # transient connection error, or already recovered
         await self.manager.respawn(shard_id)
-        if holding_admit_lock:
-            await self._replay(shard_id)
-        else:
-            async with self._admit_lock:
-                await self._replay(shard_id)
+        self.metrics.counter("shard_respawns_total").inc()
+        await self._close_idle(shard_id)  # connections to the dead process
+        await self._replay(shard_id)
+
+    async def _close_idle(self, shard_id: int) -> None:
+        # swap the list out first: concurrent forwards pop from and append
+        # to the live one while the closes below await
+        stale, self._idle[shard_id] = self._idle[shard_id], []
+        for client in stale:
+            await client.close()
 
     async def _replay(self, shard_id: int) -> None:
         """Re-admit every journaled body owned by ``shard_id`` (in order).
@@ -502,23 +312,25 @@ class ShardRouter:
         The per-platform admit sequence is deterministic, so replaying it
         verbatim rebuilds each session bit-for-bit: the same tasks are
         accepted with the same plans (rejected entries reject again and
-        change nothing).
+        change nothing).  Iterates a snapshot: admits to other shards may
+        add platform keys while this awaits.
         """
-        shard = self.manager.get(shard_id)
+        client = HttpClient("127.0.0.1", self.manager.get(shard_id).port)
         replayed = 0
-        for key, bodies in self._journal.items():
-            if self.ring.lookup(key) != shard_id or not bodies:
-                continue
-            for body in bodies:
-                status, _ = await request_once(
-                    "127.0.0.1", shard.port, "POST", "/admit", body
-                )
-                if status != 200:  # pragma: no cover - deterministic replay
-                    log.error(
-                        "replay of admit onto shard %d answered %d",
-                        shard_id, status,
-                    )
-                replayed += 1
+        try:
+            for key, bodies in list(self._journal.items()):
+                if self.ring.lookup(key) != shard_id:
+                    continue
+                for body in bodies:
+                    status, _ = await client.request("POST", "/admit", body)
+                    if status != 200:  # pragma: no cover - deterministic replay
+                        log.error(
+                            "replay of admit onto shard %d answered %d",
+                            shard_id, status,
+                        )
+                    replayed += 1
+        finally:
+            await client.close()
         if replayed:
             self.metrics.counter("admit_replays_total").inc(replayed)
             log.warning(
@@ -605,7 +417,7 @@ class ShardRouter:
                     }
                 )
             text = render_prometheus_multi(sections)
-            return 200, (text, _PROM_CONTENT_TYPE), None
+            return 200, Raw(text.encode(), _PROM_CONTENT_TYPE), None
         payload = {
             "uptime_s": uptime,
             "router": {
@@ -617,25 +429,15 @@ class ShardRouter:
                 str(i): page for i, page in enumerate(pages) if page is not None
             },
         }
-        return self._shape(200, payload, path, trace_id)
+        return self._reply(200, payload, path, trace_id)
 
 
 async def run_sharded_service(config: ServiceConfig, shards: int | None = None):
     """Run a router + N shards until SIGINT/SIGTERM, then drain and stop."""
-    router = ShardRouter(config, shards)
-    await router.start()
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(sig, stop.set)
-        except NotImplementedError:  # pragma: no cover - non-Unix platforms
-            pass
-    print(
-        f"repro.service router listening on "
-        f"http://{router.config.host}:{router.port} ({router.n} shards)"
+    await serve_until_signalled(
+        ShardRouter(config, shards),
+        lambda r: print(
+            f"repro.service router listening on "
+            f"http://{r.config.host}:{r.port} ({r.n} shards)"
+        ),
     )
-    try:
-        await stop.wait()
-    finally:
-        await router.stop()

@@ -17,9 +17,9 @@ Robustness:
   the batcher, and only then tears down the executor: an accepted
   request is never dropped.
 
-The HTTP layer is a minimal, dependency-free HTTP/1.1 subset (JSON
-bodies, ``Content-Length`` framing, keep-alive) — enough for the API and
-the loadgen client, not a general-purpose web server.
+HTTP/1.1 framing, the keep-alive loop and the drain on stop come from
+:mod:`~repro.service.http11`; routes and response shaping from
+:mod:`~repro.service.protocol`.
 """
 
 from __future__ import annotations
@@ -33,56 +33,34 @@ import signal
 import time
 
 from ..obs import context as obs
+from ..obs.metrics import MetricsRegistry
 from ..obs.prom import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from ..obs.prom import render_prometheus
 from .batcher import MicroBatcher
 from .cache import PlanCache
 from .config import ServiceConfig
 from .faults import FaultInjector
-from .metrics import MetricsRegistry
+from .http11 import HttpServer, Raw, Request
 from .pool import SolveDispatcher
 from .protocol import (
     API_VERSION,
+    LEGACY_PATHS,
+    ROUTES,
     AdmitRequest,
     OptimalRequest,
     ProtocolError,
     ScheduleRequest,
+    base_path,
     canonical_order,
     canonical_plan_key,
     error_body,
-    flatten_legacy_error,
-    is_error_body,
-    v1_envelope,
+    no_route,
+    shape_response,
 )
 
-__all__ = ["SchedulingService", "run_service"]
+__all__ = ["SchedulingService", "run_service", "serve_until_signalled"]
 
 log = logging.getLogger("repro.service")
-
-_MAX_BODY = 16 * 1024 * 1024  # refuse absurd payloads before buffering them
-
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    502: "Bad Gateway",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
-
-
-class _RawText:
-    """A pre-rendered non-JSON response body (Prometheus exposition)."""
-
-    __slots__ = ("text", "content_type")
-
-    def __init__(self, text: str, content_type: str):
-        self.text = text
-        self.content_type = content_type
 
 
 class SchedulingService:
@@ -126,42 +104,33 @@ class SchedulingService:
         }
         self._admit_lock = asyncio.Lock()
         self._exporter: obs.JsonlExporter | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        self._http = HttpServer(
+            self._respond,
+            self._reject,
+            self._chaos if self.injector is not None else None,
+        )
         self._in_progress = 0
         self._drained: asyncio.Event = asyncio.Event()
         self._drained.set()
-        self._closing = False
         self._started_at = 0.0
         self._log_task: asyncio.Task | None = None
-        # route table: (method, path) → (handler, api flavor).  Every
-        # endpoint is served under the versioned "/v1" prefix; the bare
-        # legacy paths stay as thin shims (same handlers) that flatten
-        # errors to the historical shape and answer with a Deprecation
-        # header, so pre-v1 clients keep working unchanged.
-        self._routes: dict[tuple[str, str], tuple] = {}
-        for method, base, handler in (
-            ("POST", "/schedule", self._handle_schedule),
-            ("POST", "/admit", self._handle_admit),
-            ("POST", "/optimal", self._handle_optimal),
-            ("GET", "/metrics", self._handle_metrics),
-            ("GET", "/healthz", self._handle_healthz),
-        ):
-            self._routes[(method, base)] = (handler, "legacy")
-            self._routes[(method, f"/{API_VERSION}{base}")] = (handler, "v1")
-        self._routes[("GET", f"/{API_VERSION}/solvers")] = (
-            self._handle_solvers,
-            "v1",
-        )
+        # one handler per endpoint of protocol.ROUTES: the "/v1" route and
+        # its legacy shim share it (the shim only differs in shaping)
+        self._handlers = {
+            "/schedule": self._handle_schedule,
+            "/admit": self._handle_admit,
+            "/optimal": self._handle_optimal,
+            "/metrics": self._handle_metrics,
+            "/healthz": self._handle_healthz,
+            "/solvers": self._handle_solvers,
+        }
 
     # -- lifecycle -----------------------------------------------------------------
 
     @property
     def port(self) -> int:
         """The bound port (resolves ``port=0`` to the ephemeral choice)."""
-        if self._server is None:
-            raise RuntimeError("service is not running")
-        return self._server.sockets[0].getsockname()[1]
+        return self._http.port
 
     async def start(self) -> None:
         self._started_at = time.monotonic()
@@ -169,9 +138,7 @@ class SchedulingService:
             self._exporter = obs.JsonlExporter(
                 self.config.trace_path, self.config.trace_sample
             )
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.config.host, self.config.port
-        )
+        await self._http.start(self.config.host, self.config.port)
         if self.config.log_interval > 0:
             self._log_task = asyncio.get_running_loop().create_task(
                 self._log_periodically()
@@ -193,10 +160,7 @@ class SchedulingService:
 
     async def stop(self) -> None:
         """Graceful shutdown: drain accepted requests, then tear down."""
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._http.close()
         await self._drained.wait()  # every accepted request has responded
         await self.batcher.close()
         if self._log_task is not None:
@@ -205,17 +169,10 @@ class SchedulingService:
         await asyncio.get_running_loop().run_in_executor(
             None, self.dispatcher.shutdown
         )
-        for writer in list(self._connections):  # idle keep-alive connections
-            writer.close()
-        # let the loop deliver the EOFs so per-connection tasks unwind
-        # cleanly instead of being cancelled mid-read at loop teardown
-        deadline = time.monotonic() + 1.0
-        while self._connections and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
+        await self._http.close_connections()
         if self._exporter is not None:
             self._exporter.close()
             self._exporter = None
-        self._server = None
         log.info("shutdown complete: %s", self.metrics.summary_line())
 
     async def _log_periodically(self) -> None:
@@ -223,187 +180,38 @@ class SchedulingService:
             await asyncio.sleep(self.config.log_interval)
             log.info("%s", self.metrics.summary_line())
 
-    # -- HTTP plumbing -------------------------------------------------------------
-
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                request = await self._read_request(reader, writer)
-                if request is None:
-                    break
-                method, path, headers, body = request
-                keep_alive = headers.get("connection", "").lower() != "close"
-                extra_headers = None
-                if self._closing:
-                    keep_alive = False
-                    status, payload, extra_headers = self._shape(
-                        503, error_body("shutting_down", "shutting down"), path
-                    )
-                else:
-                    status, payload, extra_headers = await self._serve(
-                        method, path, headers, body
-                    )
-                if self.injector is not None:
-                    # chaos: hold the response, or sever the connection in
-                    # place of writing it (the client sees a reset and may
-                    # retry — the request itself was fully processed)
-                    await self.injector.maybe_delay()
-                    if self.injector.should_drop():
-                        self.metrics.counter("faults_dropped_responses").inc()
-                        break
-                await self._write_response(
-                    writer, status, payload, keep_alive, extra_headers
-                )
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-            pass  # client went away mid-request
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass  # teardown only: nothing left to do for this connection
-
-    async def _read_request(self, reader, writer):
-        """Parse one HTTP request; None on clean EOF, 400 on malformed input."""
-        try:
-            # one readuntil for the whole head: fewer event-loop round trips
-            # per request than line-by-line parsing (this path is the serving
-            # hot loop)
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None  # clean EOF between keep-alive requests
-            raise
-        lines = head.decode("latin-1").split("\r\n")
-        try:
-            method, target, _version = lines[0].split()
-        except ValueError:
-            await self._write_response(
-                writer,
-                400,
-                flatten_legacy_error(
-                    error_body("bad_request", "malformed request line")
-                ),
-                False,
-            )
-            return None
-        headers: dict[str, str] = {}
-        for raw in lines[1:]:
-            if ":" in raw:
-                name, _, value = raw.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY:
-            status, payload, extra = self._shape(
-                413, error_body("payload_too_large", "body too large"), target
-            )
-            await self._write_response(writer, status, payload, False, extra)
-            return None
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), target, headers, body
-
-    async def _write_response(
-        self,
-        writer,
-        status: int,
-        payload,
-        keep_alive: bool,
-        extra_headers: dict | None = None,
-    ) -> None:
-        if isinstance(payload, _RawText):
-            data = payload.text.encode()
-            ctype = payload.content_type
-        else:
-            data = json.dumps(payload).encode()
-            ctype = "application/json"
-        extra = "".join(
-            f"{k}: {v}\r\n" for k, v in (extra_headers or {}).items()
-        )
-        head = (
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {ctype}\r\n"
-            f"Content-Length: {len(data)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            f"{extra}"
-            "\r\n"
-        ).encode("latin-1")
-        writer.write(head + data)
-        await writer.drain()
-
     # -- routing + robustness ------------------------------------------------------
 
-    _LEGACY_PATHS = frozenset(
-        {"/schedule", "/admit", "/optimal", "/metrics", "/healthz"}
-    )
+    def _reply(self, status: int, payload, path: str, trace_id=None) -> tuple:
+        return shape_response(status, payload, path, self.config.shard_id, trace_id)
 
-    def _api_flavor(self, path: str) -> str:
-        """Which wire dialect a path speaks: versioned ``v1`` or legacy."""
-        return "v1" if path.startswith(f"/{API_VERSION}/") else "legacy"
+    def _reject(self, status: int, code: str, message: str, path: str) -> tuple:
+        return self._reply(status, error_body(code, message), path)
 
-    def _meta(self, payload, trace_id: str | None) -> dict:
-        """The ``meta`` block every ``/v1`` response carries."""
-        meta = {
-            "api_version": API_VERSION,
-            "solver": None,
-            "shard": self.config.shard_id,
-            "trace_id": trace_id,
-        }
-        if isinstance(payload, dict) and not is_error_body(payload):
-            meta["solver"] = payload.get("solver") or payload.get("method")
-            if payload.get("degraded_from"):
-                meta["degraded_from"] = payload["degraded_from"]
-        return meta
+    async def _chaos(self) -> bool:
+        """Hold the response, or sever the connection in place of writing
+        it (the client sees a reset and may retry — the request itself was
+        fully processed)."""
+        await self.injector.maybe_delay()
+        if self.injector.should_drop():
+            self.metrics.counter("faults_dropped_responses").inc()
+            return False
+        return True
 
-    def _shape(
-        self, status: int, payload, path: str, trace_id: str | None = None
-    ):
-        """Dress one endpoint payload for the wire dialect ``path`` speaks.
-
-        ``/v1`` responses get the envelope (``result``/``error`` + ``meta``);
-        legacy responses get unified errors flattened back to the
-        historical string-``error`` shape plus a ``Deprecation`` header
-        pointing at the versioned successor.  Raw text (the Prometheus
-        exposition) passes through untouched — it is its own contract.
-        """
-        if isinstance(payload, _RawText):
-            return status, payload, None
-        if self._api_flavor(path) == "v1":
-            return status, v1_envelope(payload, self._meta(payload, trace_id)), None
-        if is_error_body(payload):
-            payload = flatten_legacy_error(payload)
-        extra = None
-        if path in self._LEGACY_PATHS:
-            extra = {
-                "Deprecation": "true",
-                "Link": f'</{API_VERSION}{path}>; rel="successor-version"',
-            }
-        return status, payload, extra
-
-    async def _serve(self, method: str, path: str, headers: dict, body: bytes):
+    async def _respond(self, request: Request) -> tuple:
         """Route one request, with shedding, deadline, and metrics wrapping."""
-        route = self._routes.get((method, path))
-        if route is None:
-            known = {p for (_, p) in self._routes}
-            status = 405 if path in known else 404
-            code = "method_not_allowed" if status == 405 else "not_found"
-            return self._shape(
-                status, error_body(code, f"no route {method} {path}"), path
-            )
-        handler, flavor = route
-        if flavor == "legacy":
+        method, path, headers, body = request
+        if (method, path) not in ROUTES:
+            return self._reply(*no_route(method, path), path)
+        handler = self._handlers[base_path(path)]
+        if path in LEGACY_PATHS:
             self.metrics.counter("legacy_requests_total").inc()
 
         self.metrics.counter(f"requests_total:{path}").inc()
         if self._in_progress >= self.config.max_inflight:
             self.metrics.counter("shed_total").inc()
             self.metrics.counter(f"responses:{path}:429").inc()
-            return self._shape(
+            return self._reply(
                 429,
                 error_body(
                     "overloaded",
@@ -463,29 +271,14 @@ class SchedulingService:
                 root.set("http_status", status)
                 if status >= 500:
                     root.status = "error"
-        self._ingest_spans(spans)
+        self.metrics.observe_stages(spans)
+        if self._exporter is not None and spans:
+            self._exporter.export(spans)
         self.metrics.histogram(f"latency_ms:{path}").observe(
             (time.perf_counter() - t0) * 1e3
         )
         self.metrics.counter(f"responses:{path}:{status}").inc()
-        return self._shape(status, payload, path, root.trace_id)
-
-    def _ingest_spans(self, spans: list[dict]) -> None:
-        """Fold a request's finished spans into histograms and the export.
-
-        Every span name becomes a ``stage_ms:<name>`` histogram series
-        (colons in names like ``solver:subinterval-der`` become dots so
-        the Prometheus renderer's label convention stays unambiguous), so
-        the per-stage latency breakdown is on ``GET /metrics`` even when
-        no trace file is configured.
-        """
-        for sp in spans:
-            name = sp["name"].replace(":", ".")
-            self.metrics.histogram(f"stage_ms:{name}").observe(
-                float(sp.get("dur_ms", 0.0))
-            )
-        if self._exporter is not None and spans:
-            self._exporter.export(spans)
+        return self._reply(status, payload, path, root.trace_id)
 
     @staticmethod
     def _parse_body(body: bytes):
@@ -740,7 +533,7 @@ class SchedulingService:
                 "pool_dispatches": self.dispatcher.dispatch_count,
             }
             text = render_prometheus(self.metrics.snapshot(), extra_gauges=extra)
-            return 200, _RawText(text, _PROM_CONTENT_TYPE)
+            return 200, Raw(text.encode(), _PROM_CONTENT_TYPE)
         return 200, {
             "uptime_s": round(time.monotonic() - self._started_at, 3),
             "metrics": self.metrics.snapshot(),
@@ -782,10 +575,10 @@ def _version() -> str:
     return __version__
 
 
-async def run_service(config: ServiceConfig) -> None:
-    """Run a service until SIGINT/SIGTERM, then shut down gracefully."""
-    service = SchedulingService(config)
-    await service.start()
+async def serve_until_signalled(app, on_ready) -> None:
+    """Start ``app`` (a daemon or a router), call ``on_ready(app)``, serve
+    until SIGINT/SIGTERM, then stop it gracefully."""
+    await app.start()
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGINT, signal.SIGTERM):
@@ -793,8 +586,16 @@ async def run_service(config: ServiceConfig) -> None:
             loop.add_signal_handler(sig, stop.set)
         except NotImplementedError:  # pragma: no cover - non-Unix platforms
             pass
-    print(f"repro.service listening on http://{service.config.host}:{service.port}")
     try:
+        on_ready(app)
         await stop.wait()
     finally:
-        await service.stop()
+        await app.stop()
+
+
+async def run_service(config: ServiceConfig) -> None:
+    """Run a service until SIGINT/SIGTERM, then shut down gracefully."""
+    await serve_until_signalled(
+        SchedulingService(config),
+        lambda s: print(f"repro.service listening on http://{s.config.host}:{s.port}"),
+    )

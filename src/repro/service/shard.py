@@ -32,7 +32,6 @@ import bisect
 import hashlib
 import logging
 import multiprocessing
-import signal
 
 from .config import ServiceConfig
 from .pool import _pool_context
@@ -140,26 +139,18 @@ def shard_config(base: ServiceConfig, shard_id: int) -> ServiceConfig:
 
 def _shard_entry(config: ServiceConfig, conn) -> None:
     """Child-process main: serve one shard until SIGTERM, then drain."""
-    from .server import SchedulingService
+    from .server import SchedulingService, serve_until_signalled
 
     logging.basicConfig(
         level=logging.WARNING, format="%(asctime)s %(name)s %(message)s"
     )
 
-    async def main() -> None:
-        service = SchedulingService(config)
-        await service.start()
+    def report_port(service) -> None:
         conn.send(service.port)
         conn.close()
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-Unix
-                pass
-        await stop.wait()
-        await service.stop()
+
+    async def main() -> None:
+        await serve_until_signalled(SchedulingService(config), report_port)
 
     asyncio.run(main())
 
@@ -192,7 +183,6 @@ class ShardManager:
         self.n = int(shards)
         self._ctx = _pool_context() or multiprocessing.get_context("spawn")
         self.shards: list[ShardProcess | None] = [None] * self.n
-        self._locks = [asyncio.Lock() for _ in range(self.n)]
 
     async def start(self) -> None:
         spawned = await asyncio.gather(
@@ -233,20 +223,20 @@ class ShardManager:
         return shard
 
     async def respawn(self, shard_id: int) -> ShardProcess:
-        """Replace a dead shard (idempotent: checks liveness under a lock)."""
-        async with self._locks[shard_id]:
-            current = self.shards[shard_id]
-            if current is not None and current.alive:
-                return current  # another path already respawned it
-            restarts = (current.restarts + 1) if current is not None else 1
-            if current is not None and current.process.exitcode is None:
-                current.process.kill()
-            log.warning("shard %d died; respawning (restart #%d)",
-                        shard_id, restarts)
-            shard = await self._spawn(shard_id)
-            shard.restarts = restarts
-            self.shards[shard_id] = shard
-            return shard
+        """Replace a dead shard.
+
+        The router calls this under the shard's lock, after checking that
+        the shard is dead, so one death means one respawn.
+        """
+        current = self.shards[shard_id]
+        restarts = (current.restarts + 1) if current is not None else 1
+        if current is not None and current.process.exitcode is None:
+            current.process.kill()
+        log.warning("shard %d died; respawning (restart #%d)", shard_id, restarts)
+        shard = await self._spawn(shard_id)
+        shard.restarts = restarts
+        self.shards[shard_id] = shard
+        return shard
 
     async def stop(self) -> None:
         """SIGTERM every shard (graceful drain), then reap stragglers."""

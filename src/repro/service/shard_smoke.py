@@ -27,7 +27,7 @@ import re
 import sys
 
 from .config import ServiceConfig
-from .loadgen import HttpClient, request_once
+from .http11 import HttpClient, request_once
 from .router import ShardRouter
 
 #: distinct admission platforms — different f_max caps hash to different

@@ -13,7 +13,7 @@ import asyncio
 import sys
 
 from .config import ServiceConfig
-from .loadgen import request_once
+from .http11 import request_once
 from .server import SchedulingService
 
 _TASKS = [[0.0, 10.0, 8.0], [2.0, 18.0, 14.0], [4.0, 16.0, 8.0]]

@@ -5,7 +5,7 @@ import asyncio
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import CONTENT_TYPE, render_prometheus
 from repro.service import SchedulingService, ServiceConfig
-from repro.service.loadgen import request_once
+from repro.service.http11 import request_once
 
 _TASKS = [[0.0, 10.0, 8.0], [2.0, 18.0, 14.0], [4.0, 16.0, 8.0]]
 

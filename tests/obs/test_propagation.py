@@ -12,12 +12,12 @@ import asyncio
 import time
 
 from repro.obs import context as obs
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import group_traces, load_spans
 from repro.service import SchedulingService, ServiceConfig
 from repro.service.config import RetryPolicy
 from repro.service.faults import FaultInjector, FaultSpec
-from repro.service.loadgen import request_once
-from repro.service.metrics import MetricsRegistry
+from repro.service.http11 import request_once
 from repro.service.pool import SolveDispatcher
 
 _TASKS = [[0.0, 10.0, 8.0], [2.0, 18.0, 14.0], [4.0, 16.0, 8.0]]

@@ -15,6 +15,8 @@ from repro.obs.report import (
 
 _T1 = "aa" * 16
 _T2 = "bb" * 16
+#: both spellings of the schedule route: the analyzer must count each
+_PATHS = ("/schedule", "/v1/schedule")
 
 
 def _sp(name, trace=_T1, span_id="s1", parent=None, start=0.0, dur=1.0, **attrs):
@@ -30,11 +32,11 @@ def _sp(name, trace=_T1, span_id="s1", parent=None, start=0.0, dur=1.0, **attrs)
     }
 
 
-def _scheduled_trace(trace=_T1, base=100.0, solve_ms=8.0):
+def _scheduled_trace(trace=_T1, base=100.0, solve_ms=8.0, path="/schedule"):
     """A complete service→pool→engine→solver tree plus queue wait."""
     return [
         _sp("service.request", trace, "r", None, base, 12.0,
-            path="/schedule", method="POST", http_status=200),
+            path=path, method="POST", http_status=200),
         _sp("cache.probe", trace, "c", "r", base, 0.05, hit=False),
         _sp("batch.queue", trace, "q", "r", base + 0.001, 2.0),
         _sp("pool.solve", trace, "p", "r", base + 0.003, 9.0),
@@ -45,10 +47,10 @@ def _scheduled_trace(trace=_T1, base=100.0, solve_ms=8.0):
     ]
 
 
-def _hit_trace(trace=_T2, base=200.0):
+def _hit_trace(trace=_T2, base=200.0, path="/schedule"):
     return [
         _sp("service.request", trace, "r2", None, base, 0.4,
-            path="/schedule", method="POST", http_status=200),
+            path=path, method="POST", http_status=200),
         _sp("cache.probe", trace, "c2", "r2", base, 0.05, hit=True),
     ]
 
@@ -76,23 +78,29 @@ class TestLoadSpans:
 
 class TestTraceView:
     def test_root_prefers_service_request_over_other_orphans(self):
-        spans = _scheduled_trace()
-        # an orphan whose parent was lost with a crashed worker
-        spans.append(_sp("pool.attempt", _T1, "x", "gone", 100.0, 1.0))
-        (tv,) = group_traces(spans)
-        assert tv.root["name"] == "service.request"
-        assert tv.is_scheduled() and tv.is_complete()
+        for path in _PATHS:
+            spans = _scheduled_trace(path=path)
+            # an orphan whose parent was lost with a crashed worker
+            spans.append(_sp("pool.attempt", _T1, "x", "gone", 100.0, 1.0))
+            (tv,) = group_traces(spans)
+            assert tv.root["name"] == "service.request"
+            assert tv.is_scheduled() and tv.is_complete()
 
     def test_incomplete_when_worker_chain_is_missing(self):
-        spans = [s for s in _scheduled_trace() if s["name"] != "engine.solve"]
-        (tv,) = group_traces(spans)
-        assert tv.is_scheduled()
-        assert not tv.is_complete()
+        for path in _PATHS:
+            spans = [
+                s for s in _scheduled_trace(path=path)
+                if s["name"] != "engine.solve"
+            ]
+            (tv,) = group_traces(spans)
+            assert tv.is_scheduled()
+            assert not tv.is_complete()
 
     def test_cache_hit_trace_is_not_scheduled(self):
-        (tv,) = group_traces(_hit_trace())
-        assert tv.cache_hit()
-        assert not tv.is_scheduled()
+        for path in _PATHS:
+            (tv,) = group_traces(_hit_trace(path=path))
+            assert tv.cache_hit()
+            assert not tv.is_scheduled()
 
     def test_group_traces_orders_by_start(self):
         spans = _hit_trace() + _scheduled_trace()  # T2 starts later
@@ -125,44 +133,49 @@ class TestAggregation:
         assert self_by_name["solver:subinterval-der"] == 7.0  # leaf
 
     def test_cache_attribution_populations(self):
-        traces = group_traces(_scheduled_trace() + _hit_trace())
-        attr = cache_attribution(traces)
-        assert attr["schedule_requests"] == 2
-        assert attr["hits"] == 1 and attr["misses"] == 1
-        assert attr["hit_rate"] == 0.5
-        assert attr["hit_p50_ms"] == 0.4
-        assert attr["miss_p50_ms"] == 12.0
+        for path in _PATHS:
+            traces = group_traces(
+                _scheduled_trace(path=path) + _hit_trace(path=path)
+            )
+            attr = cache_attribution(traces)
+            assert attr["schedule_requests"] == 2
+            assert attr["hits"] == 1 and attr["misses"] == 1
+            assert attr["hit_rate"] == 0.5
+            assert attr["hit_p50_ms"] == 0.4
+            assert attr["miss_p50_ms"] == 12.0
 
 
 class TestSummaryAndReport:
-    def _spans(self):
+    def _spans(self, path):
         broken = [
             s
-            for s in _scheduled_trace("cc" * 16, base=300.0)
+            for s in _scheduled_trace("cc" * 16, base=300.0, path=path)
             if s["name"] not in ("engine.solve", "solver:subinterval-der")
         ]
-        return _scheduled_trace() + _hit_trace() + broken
+        return _scheduled_trace(path=path) + _hit_trace(path=path) + broken
 
     def test_trace_summary_counts_and_stages(self):
-        s = trace_summary(self._spans())
-        assert s["traces"] == 3
-        assert s["scheduled_traces"] == 2
-        assert s["incomplete_traces"] == 1
-        assert s["incomplete_trace_ids"] == ["cc" * 16]
-        assert s["stages"]["solve"]["count"] == 1  # only the complete trace
-        assert s["stages"]["queue/batch"]["count"] == 2
-        assert s["stages"]["pack"]["count"] == 0  # include_schedule absent
-        assert s["request_ms"]["count"] == 3
-        assert s["cache"]["hits"] == 1
+        for path in _PATHS:
+            s = trace_summary(self._spans(path))
+            assert s["traces"] == 3
+            assert s["scheduled_traces"] == 2
+            assert s["incomplete_traces"] == 1
+            assert s["incomplete_trace_ids"] == ["cc" * 16]
+            assert s["stages"]["solve"]["count"] == 1  # only the complete trace
+            assert s["stages"]["queue/batch"]["count"] == 2
+            assert s["stages"]["pack"]["count"] == 0  # include_schedule absent
+            assert s["request_ms"]["count"] == 3
+            assert s["cache"]["hits"] == 1
 
     def test_format_trace_report_mentions_everything(self):
-        text = format_trace_report(self._spans())
-        assert "incomplete: 1" in text
-        assert "per-stage latency" in text
-        assert "queue/batch" in text
-        assert "cache attribution: 1/3" in text
-        assert "critical path of slowest trace" in text
-        assert "solver:subinterval-der" in text
+        for path in _PATHS:
+            text = format_trace_report(self._spans(path))
+            assert "incomplete: 1" in text
+            assert "per-stage latency" in text
+            assert "queue/batch" in text
+            assert "cache attribution: 1/3" in text
+            assert "critical path of slowest trace" in text
+            assert "solver:subinterval-der" in text
 
     def test_empty_export_degrades_gracefully(self):
         s = trace_summary([])

@@ -3,7 +3,8 @@
 import asyncio
 
 from repro.service import SchedulingService, ServiceConfig
-from repro.service.loadgen import HttpClient, request_once, run_loadgen
+from repro.service.http11 import HttpClient, request_once
+from repro.service.loadgen import run_loadgen
 
 _BASE = dict(port=0, workers=0, log_interval=0)
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro.engine import register
 from repro.engine.registry import _REGISTRY
+from repro.obs.metrics import MetricsRegistry
 from repro.service import SchedulingService, ServiceConfig
 from repro.service.config import RetryPolicy
 from repro.service.faults import (
@@ -22,8 +23,7 @@ from repro.service.faults import (
     FaultSpec,
     SimulatedWorkerCrash,
 )
-from repro.service.loadgen import request_once
-from repro.service.metrics import MetricsRegistry
+from repro.service.http11 import request_once
 from repro.service.pool import SolveDispatcher
 
 _ROWS = [(0.0, 10.0, 6.0), (2.0, 14.0, 5.0), (4.0, 16.0, 7.0)]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry, percentile
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, percentile
 
 
 class TestPercentile:

@@ -13,7 +13,8 @@ import pytest
 
 from repro.io import schedule_from_json
 from repro.service import SchedulingService, ServiceConfig
-from repro.service.loadgen import HttpClient, request_once, run_loadgen
+from repro.service.http11 import HttpClient, request_once
+from repro.service.loadgen import run_loadgen
 from repro.sim import validate_schedule
 
 _TASKS = [[0.0, 10.0, 8.0], [2.0, 18.0, 14.0], [4.0, 16.0, 8.0]]
@@ -280,6 +281,29 @@ class TestRoutingAndMetrics:
             line = await reader.readline()
             assert b"400" in line
             writer.close()
+
+        _run(scenario)
+
+    def test_bad_content_length_400_and_close(self):
+        """A non-numeric or negative Content-Length is the client's error:
+        a 400 bad_request that closes the connection, not a dropped socket."""
+
+        async def scenario(service):
+            for value in (b"abc", b"-5"):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", service.port
+                )
+                writer.write(
+                    b"POST /v1/schedule HTTP/1.1\r\nContent-Length: " + value
+                    + b"\r\n\r\n{}"
+                )
+                await writer.drain()
+                reply = await asyncio.wait_for(reader.read(), timeout=5.0)
+                writer.close()
+                head, _, body = reply.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400 "), (value, reply)
+                assert b"\r\nConnection: close" in head
+                assert json.loads(body)["error"]["code"] == "bad_request"
 
         _run(scenario)
 

@@ -23,7 +23,7 @@ import signal
 import pytest
 
 from repro.service import SchedulingService, ServiceConfig, ShardRouter
-from repro.service.loadgen import HttpClient, request_once
+from repro.service.http11 import HttpClient, request_once
 from repro.service.shard import HashRing, platform_key, shard_config
 
 _BASE = dict(port=0, workers=0, log_interval=0, batch_window=0.0)
@@ -107,6 +107,34 @@ class TestShardConfig:
         assert derived.shard_id == 2
         assert derived.trace_path == "/tmp/t.jsonl.shard2"
         assert base.shard_id is None  # base untouched
+
+
+class TestIdlePool:
+    def test_closing_the_pool_spares_a_connection_returned_meanwhile(self):
+        # a respawn closes the dead shard's idle connections while other
+        # forwards keep returning theirs: those belong to the new pool
+        router = ShardRouter(_config(), shards=1)
+        closed = []
+
+        class Conn:
+            def __init__(self, name):
+                self.name = name
+
+            async def close(self):
+                await asyncio.sleep(0)
+                closed.append(self.name)
+
+        async def forward_returns(conn):
+            await asyncio.sleep(0)
+            router._idle[0].append(conn)
+
+        async def main():
+            router._idle[0] = [Conn("a"), Conn("b")]
+            await asyncio.gather(router._close_idle(0), forward_returns(Conn("new")))
+
+        asyncio.run(main())
+        assert closed == ["a", "b"]
+        assert [c.name for c in router._idle[0]] == ["new"]
 
 
 def _admit_stream(n: int, seed: int) -> list[list[float]]:
@@ -279,6 +307,51 @@ class TestRouterEndToEnd:
                 assert [s["alive"] for s in body["result"]["shards"]] == [
                     True, True
                 ]
+            finally:
+                await router.stop()
+
+        asyncio.run(scenario())
+
+    def test_one_death_seen_by_two_requests_replays_once(self):
+        """An admit and a schedule both hit the killed shard: it is
+        respawned and its journal replayed once, not once per request."""
+        stream = _admit_stream(6, 5)
+
+        async def scenario():
+            router = ShardRouter(_config(), shards=1)
+            await router.start()
+            try:
+                admit = HttpClient("127.0.0.1", router.port)
+                schedule = HttpClient("127.0.0.1", router.port)
+                try:
+                    await admit.request("POST", "/v1/admit", {"reset": True})
+                    for task in stream[:5]:
+                        status, body = await admit.request(
+                            "POST", "/v1/admit", {"task": task}
+                        )
+                        assert status == 200 and body["result"]["accepted"]
+                    os.kill(router.manager.get(0).process.pid, signal.SIGKILL)
+                    await asyncio.sleep(0.1)
+                    (a_status, a_body), (s_status, _) = await asyncio.gather(
+                        admit.request("POST", "/v1/admit", {"task": stream[5]}),
+                        schedule.request(
+                            "POST", "/v1/schedule",
+                            {"tasks": [[0.0, 10.0, 2.0]],
+                             "include_schedule": False},
+                        ),
+                    )
+                    assert a_status == 200 and s_status == 200
+                    assert a_body["result"]["committed"] == 6
+                    _, peek = await admit.request(
+                        "POST", "/v1/admit", {"peek": True}
+                    )
+                    assert peek["result"]["committed"] == 6
+                finally:
+                    await admit.close()
+                    await schedule.close()
+                counters = router.metrics.snapshot()["counters"]
+                assert counters["admit_replays_total"] == 5
+                assert counters["shard_respawns_total"] == 1
             finally:
                 await router.stop()
 

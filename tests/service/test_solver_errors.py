@@ -14,7 +14,7 @@ import pytest
 
 from repro.engine import solver_names
 from repro.service import SchedulingService, ServiceConfig
-from repro.service.loadgen import request_once
+from repro.service.http11 import request_once
 from repro.service.protocol import (
     OptimalRequest,
     ProtocolError,

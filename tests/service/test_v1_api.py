@@ -21,7 +21,7 @@ import json
 import pytest
 
 from repro.service import SchedulingService, ServiceConfig
-from repro.service.loadgen import HttpClient, request_once
+from repro.service.http11 import HttpClient, request_once
 
 _TASKS = [[0.0, 10.0, 8.0], [2.0, 18.0, 14.0], [4.0, 16.0, 8.0]]
 # cache_size=0 so the v1/legacy replays of one request cannot diverge on
