@@ -4,9 +4,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint test perfbench-test bench bench-smoke serve-smoke solvers-smoke chaos-smoke obs-smoke incremental-smoke shard-smoke
+.PHONY: check lint test perfbench-test bench bench-collect bench-smoke serve-smoke solvers-smoke chaos-smoke obs-smoke incremental-smoke shard-smoke
 
-check: lint test perfbench-test solvers-smoke incremental-smoke serve-smoke chaos-smoke obs-smoke shard-smoke bench-smoke
+check: lint test perfbench-test bench-collect solvers-smoke incremental-smoke serve-smoke chaos-smoke obs-smoke shard-smoke bench-smoke
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -25,6 +25,11 @@ perfbench-test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q -s
+
+# import every benchmark without running it, so a broken import (the
+# benchmarks share tests/oracles.py with the test-suite) fails CI
+bench-collect:
+	$(PYTHON) -m pytest benchmarks --collect-only -q
 
 # time the structured Newton kernels against the dense oracle on a small
 # instance; soft regression gate (fails only on gross slowdowns or any
@@ -52,7 +57,7 @@ solvers-smoke:
 # dropped responses, malformed payloads — asserts zero lost acknowledged
 # jobs, bit-identical retries, visible degradation, and a bounded p99
 chaos-smoke:
-	$(PYTHON) -m repro.service.chaos --requests 60 --seed 7
+	$(PYTHON) -m repro.service.chaos --seed 7
 
 # 3-shard router + seeded schedule/admit mix: zero lost acks, merged
 # Prometheus scrape parses with per-shard labels, and the consistent-hash

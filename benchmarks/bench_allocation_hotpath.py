@@ -2,8 +2,8 @@
 
 Plan assembly and slot construction used to loop over subintervals in
 Python (one ``allocate_der``/``wrap_schedule`` call per column).  Both now
-run as batched NumPy passes; the ``*_scalar`` reference methods keep the
-original loops alive as the oracle.  This benchmark times both on one
+run as batched NumPy passes; ``tests/oracles.py`` keeps the original loops
+alive as the oracle.  This benchmark times both on one
 large instance (n = 500 tasks → ≈1000 subintervals, m = 16), checks the
 results agree to 1e-9, asserts the ≥5× speedup target, and archives a CSV
 row per stage under ``results/bench/``.
@@ -17,6 +17,7 @@ from repro.core import SubintervalScheduler, Timeline, build_allocation_plan, so
 from repro.power import PolynomialPower
 from repro.workloads import paper_workload
 from repro.workloads.generator import PaperWorkloadConfig
+from tests.oracles import scalar_plan, scalar_slots
 
 _POWER = PolynomialPower(alpha=3.0, static=0.1)
 _N_TASKS = 500
@@ -41,14 +42,14 @@ def test_allocation_hotpath_speedup(results_dir):
 
     # -- stage 1: allocation-plan assembly (Algorithm 2 over all columns) --
     vec_plan = build_allocation_plan(tl, _M, "der", ideal=ideal)
-    ref_plan = build_allocation_plan(tl, _M, "der_scalar", ideal=ideal)
+    ref_plan = scalar_plan(tl, _M, "der", ideal=ideal)
     np.testing.assert_allclose(vec_plan.x, ref_plan.x, rtol=1e-9, atol=1e-12)
 
     t_vec_plan = _best_of(
         lambda: build_allocation_plan(tl, _M, "der", ideal=ideal), 5
     )
     t_ref_plan = _best_of(
-        lambda: build_allocation_plan(tl, _M, "der_scalar", ideal=ideal), 3
+        lambda: scalar_plan(tl, _M, "der", ideal=ideal), 3
     )
 
     # -- stage 2: slot construction (Algorithm 1 over all columns) --------
@@ -56,7 +57,7 @@ def test_allocation_hotpath_speedup(results_dir):
     # scalar loop materializes Slot objects, which is what it always did
     sch = SubintervalScheduler(tasks, _M, _POWER)
     vec_slots = sch._slots_flat(vec_plan).to_slot_lists()
-    ref_slots = sch._slots_scalar(vec_plan)
+    ref_slots = scalar_slots(sch, vec_plan)
     assert [len(s) for s in vec_slots] == [len(s) for s in ref_slots]
     for g_slots, w_slots in zip(vec_slots, ref_slots):
         for g, w in zip(g_slots, w_slots):
@@ -65,7 +66,7 @@ def test_allocation_hotpath_speedup(results_dir):
             assert abs(g.end - w.end) < 1e-9
 
     t_vec_pack = _best_of(lambda: sch._slots_flat(vec_plan), 5)
-    t_ref_pack = _best_of(lambda: sch._slots_scalar(vec_plan), 3)
+    t_ref_pack = _best_of(lambda: scalar_slots(sch, vec_plan), 3)
 
     rows = [
         ("plan_assembly_der", t_ref_plan, t_vec_plan),

@@ -1,9 +1,10 @@
 """Incremental-session benchmark: delta re-planning vs full rebuild.
 
 Streams a paper-style aperiodic workload through the online scheduler
-twice per allocation policy — once with the original full-rebuild engine
-(a fresh :class:`SubintervalScheduler` at every release instant) and once
-with the incremental :class:`ScheduleSession` engine — and emits a
+twice per allocation policy — once with the full-rebuild oracle
+(``tests.oracles.online_rebuild``: a fresh :class:`SubintervalScheduler`
+at every release instant) and once with the incremental
+:class:`ScheduleSession` re-plan — and emits a
 machine-readable report (``results/bench/BENCH_incremental.json`` for the
 archived full run, ``BENCH_incremental_smoke.json`` for smoke runs):
 
@@ -42,6 +43,7 @@ from repro.core import OnlineSubintervalScheduler
 from repro.power import PolynomialPower
 from repro.workloads import paper_workload
 from repro.workloads.generator import PaperWorkloadConfig
+from tests.oracles import online_rebuild
 
 _POWER = PolynomialPower(alpha=3.0, static=0.1)
 METHODS = ("even", "der")
@@ -54,9 +56,10 @@ def _instance(n_tasks: int, seed: int):
 
 def _time_engine(tasks, m: int, method: str, engine: str) -> dict:
     t0 = time.perf_counter()
-    res = OnlineSubintervalScheduler(
-        tasks, m, _POWER, method=method, engine=engine
-    ).run()
+    if engine == "rebuild":
+        res = online_rebuild(tasks, m, _POWER, method=method)
+    else:
+        res = OnlineSubintervalScheduler(tasks, m, _POWER, method=method).run()
     wall = time.perf_counter() - t0
     return {
         "wall_s": wall,

@@ -13,7 +13,7 @@ from .allocation import (
     build_allocation_plan,
 )
 from .admission import AdmissionController, AdmissionDecision
-from .incremental import SESSION_METHODS, DeltaStats, ScheduleSession
+from .incremental import DeltaStats, ScheduleSession
 from .online import OnlineResult, OnlineSubintervalScheduler
 from .practical_scheduler import PracticalResult, PracticalScheduler
 from .theory import BoundReport, certify_instance, intermediate_even_bound
@@ -29,7 +29,7 @@ from .intervals import Subinterval, Timeline, build_timeline
 from .schedule import Schedule, Segment
 from .scheduler import SchedulingResult, SubintervalScheduler, schedule_taskset
 from .task import Task, TaskSet
-from .wrap_schedule import PackedSlots, Slot, pack_matrix, pack_matrix_flat, wrap_schedule
+from .wrap_schedule import PackedSlots, Slot, pack_matrix_flat, wrap_schedule
 
 __all__ = [
     "Task",
@@ -49,7 +49,6 @@ __all__ = [
     "OnlineSubintervalScheduler",
     "ScheduleSession",
     "DeltaStats",
-    "SESSION_METHODS",
     "BoundReport",
     "certify_instance",
     "intermediate_even_bound",
@@ -60,7 +59,6 @@ __all__ = [
     "PackedSlots",
     "Slot",
     "wrap_schedule",
-    "pack_matrix",
     "pack_matrix_flat",
     "FrequencyAssignment",
     "refine_frequencies",

@@ -18,21 +18,18 @@ times over *all* subintervals — lightly overlapped ones contribute the whole
 ``Δ`` to each overlapping task (Observation 2) — yielding each task's total
 available time ``A_i``, the input to the final frequency refinement.
 
-Two assembly paths produce the same matrix:
-
-* the **vectorized** default (``method="even"``/``"der"``) builds ``x`` in
-  one batched pass: light subintervals via the coverage mask, heavy
-  subintervals via an even-split broadcast or a closed-form water-filling
-  over the batched DER matrix (see :func:`_waterfill_capped`);
-* the **scalar reference** (``method="even_scalar"``/``"der_scalar"``)
-  retains the original per-subinterval Python loop, kept as the oracle for
-  the equivalence tests and the hot-path benchmark.
+The matrix is built in one batched pass: light subintervals via the
+coverage mask, heavy subintervals via an even-split broadcast or a
+closed-form water-filling over the batched DER matrix (see
+:func:`_waterfill_capped`).  The original per-subinterval loop over
+:func:`allocate_evenly`/:func:`allocate_der` lives on in the test-suite as
+the equivalence oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Mapping
+from typing import Literal, Mapping, get_args
 
 import numpy as np
 
@@ -48,12 +45,24 @@ __all__ = [
     "assemble_columns",
     "build_allocation_plan",
     "AllocationMethod",
+    "METHODS",
+    "check_method",
 ]
 
-AllocationMethod = Literal["even", "der", "even_scalar", "der_scalar"]
+AllocationMethod = Literal["even", "der"]
 
-_SCALAR_SUFFIX = "_scalar"
-_BASE_METHODS = ("even", "der")
+#: The heavy-subinterval allocation policies, shared by the batch pipeline
+#: and the incremental session.
+METHODS: tuple[str, ...] = get_args(AllocationMethod)
+
+
+def check_method(method: str) -> None:
+    """Raise ``ValueError`` unless ``method`` is one of :data:`METHODS`."""
+    if method not in METHODS:
+        raise ValueError(
+            f"unknown allocation method {method!r}; "
+            f"batch and session methods are {METHODS}"
+        )
 
 
 def allocate_evenly(sub: Subinterval, m: int) -> dict[int, float]:
@@ -315,47 +324,6 @@ def assemble_columns(
     return x
 
 
-def _assemble_vectorized(
-    timeline: Timeline,
-    m: int,
-    base: str,
-    ideal: IdealSolution | None,
-) -> np.ndarray:
-    """One batched pass over all subintervals (the hot path)."""
-    der = None
-    if base == "der":
-        assert ideal is not None
-        der = ideal.der_matrix(timeline)
-    return assemble_columns(
-        timeline.coverage, timeline.lengths, m, base, der
-    )
-
-
-def _assemble_scalar(
-    timeline: Timeline,
-    m: int,
-    base: str,
-    ideal: IdealSolution | None,
-) -> np.ndarray:
-    """The original per-subinterval loop, kept as the reference oracle."""
-    x = np.zeros((len(timeline.tasks), len(timeline)))
-    for sub in timeline:
-        if sub.n_overlapping == 0:
-            continue
-        if sub.is_heavy(m):
-            if base == "even":
-                alloc = allocate_evenly(sub, m)
-            else:
-                assert ideal is not None
-                alloc = allocate_der(sub, m, ideal)
-            for tid, t in alloc.items():
-                x[tid, sub.index] = t
-        else:
-            for tid in sub.task_ids:
-                x[tid, sub.index] = sub.length
-    return x
-
-
 def build_allocation_plan(
     timeline: Timeline,
     m: int,
@@ -366,25 +334,19 @@ def build_allocation_plan(
 
     Lightly overlapped subintervals always contribute their full length to
     every overlapping task (Observation 2); heavily overlapped ones receive
-    the even split or the Algorithm-2 DER shares.
-
-    ``"even"``/``"der"`` run the vectorized batched assembly; the
-    ``"even_scalar"``/``"der_scalar"`` reference methods run the original
-    per-subinterval loop (they agree to ``rtol=1e-9``, enforced by the
-    property suite).  ``ideal`` is required for the DER methods (it defines
-    the DERs).
+    the even split or the Algorithm-2 DER shares, all columns in one
+    batched pass.  ``ideal`` is required for ``"der"`` (it defines the
+    DERs).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    scalar = isinstance(method, str) and method.endswith(_SCALAR_SUFFIX)
-    base = method[: -len(_SCALAR_SUFFIX)] if scalar else method
-    if base not in _BASE_METHODS:
-        raise ValueError(f"unknown allocation method {method!r}")
-    if base == "der" and ideal is None:
-        raise ValueError("DER-based allocation requires the ideal solution")
-
-    assemble = _assemble_scalar if scalar else _assemble_vectorized
-    x = assemble(timeline, m, base, ideal)
+    check_method(method)
+    der = None
+    if method == "der":
+        if ideal is None:
+            raise ValueError("DER-based allocation requires the ideal solution")
+        der = ideal.der_matrix(timeline)
+    x = assemble_columns(timeline.coverage, timeline.lengths, m, method, der)
     plan = AllocationPlan(timeline=timeline, m=m, method=method, x=x)
     plan.check()
     return plan

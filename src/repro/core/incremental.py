@@ -23,9 +23,8 @@ coverage matrix, and allocation matrix ``x`` across deltas and applies
 
 The session's state after every delta is *bit-identical* to a full batch
 :class:`~repro.core.scheduler.SubintervalScheduler` rebuild over the same
-task rows (the batch path stays in the tree as the equivalence oracle —
-``python -m repro.core.incremental_smoke`` compares the two on random
-event streams).  Materializing Python objects (``TaskSet``, ``Timeline``
+task rows (``python -m repro.core.incremental_smoke`` compares the two on
+random event streams).  Materializing Python objects (``TaskSet``, ``Timeline``
 subintervals, ``Schedule`` segments) is deferred to
 :meth:`~ScheduleSession.result` / :meth:`~ScheduleSession.final_segments`,
 which is where the batch path spends most of its time on large instances.
@@ -41,27 +40,21 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from ..obs import context as obs
 from ..power.models import PolynomialPower
-from .allocation import AllocationPlan, assemble_columns
+from .allocation import AllocationPlan, assemble_columns, check_method
 from .frequency import FrequencyAssignment, refine_frequencies
 from .intervals import Timeline
 from .schedule import Segment
-from .scheduler import SchedulingResult, SubintervalScheduler
+from .scheduler import SchedulingResult, SubintervalScheduler, fill_slots
 from .task import Task, TaskSet
 from .wrap_schedule import pack_matrix_flat
 
 __all__ = ["DeltaStats", "ScheduleSession"]
-
-_EPS = 1e-12
-
-#: Allocation policies the incremental engine supports (the vectorized batch
-#: methods; the ``*_scalar`` reference loops stay batch-only oracles).
-SESSION_METHODS = ("even", "der")
 
 
 @dataclass(frozen=True)
@@ -109,11 +102,7 @@ class ScheduleSession:
     ):
         if m < 1:
             raise ValueError("m must be >= 1")
-        if method not in SESSION_METHODS:
-            raise ValueError(
-                f"unsupported session method {method!r}; "
-                f"supported: {SESSION_METHODS}"
-            )
+        check_method(method)
         self.m = int(m)
         self.power = power
         self.method = method
@@ -572,65 +561,21 @@ class ScheduleSession:
         kind = "F1" if self.method == "even" else "F2"
         return scheduler.final_from_plan(plan, kind=kind)
 
-    def batch_oracle(self) -> SubintervalScheduler:
-        """A fresh batch scheduler over the current rows (equivalence oracle)."""
-        return SubintervalScheduler(self.taskset(), self.m, self.power)
-
     def final_segments(self, before: float | None = None) -> list[Segment]:
         """Final-schedule segments in schedule order, without a ``Schedule``.
 
-        Replicates :meth:`SubintervalScheduler._fill_slots` on the session's
-        arrays, then sorts by ``(start, core, task_id)`` exactly as
-        :class:`~repro.core.schedule.Schedule` would.  ``before`` skips
-        materializing segments starting at or beyond it — the online driver
-        only ever executes the plan up to the next arrival, which is where
-        the batch path wastes most of its object-construction time.
+        The same slot fill as :meth:`SubintervalScheduler.final`, on the
+        session's arrays.  ``before`` skips materializing segments starting
+        at or beyond it — the online driver only ever executes the plan up
+        to the next arrival, which is where the batch path wastes most of
+        its object-construction time.
         """
         if self.is_empty or self._assign is None:
             return []
-        ps = pack_matrix_flat(
-            self._b, self._x, self.m, self._cov.sum(axis=0)
+        ps = pack_matrix_flat(self._b, self._x, self.m, self._cov.sum(axis=0))
+        return fill_slots(
+            ps, self._assign.used_times, self._assign.frequencies, before
         )
-        if len(ps) == 0:
-            return []
-        order = np.lexsort((ps.start, ps.task))
-        t = ps.task[order]
-        start = ps.start[order]
-        dur = ps.durations[order]
-        cum = np.cumsum(dur)
-        first = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
-        base = np.zeros(len(self._handles))
-        base[t[first]] = cum[first] - dur[first]
-        prefix = cum - dur - base[t]
-        used_times = self._assign.used_times
-        frequencies = self._assign.frequencies
-        take = np.clip(used_times[t] - prefix, 0.0, dur)
-
-        placed = np.bincount(t, weights=take, minlength=len(self._handles))
-        short = used_times - placed
-        bad = short > 1e-6 * np.maximum(used_times, 1.0)
-        if np.any(bad):
-            tid = int(np.flatnonzero(bad)[0])
-            raise AssertionError(
-                f"task row {tid}: could not place {short[tid]} of its "
-                "execution time into available slots (allocation bug)"
-            )
-
-        keep = take > _EPS
-        if before is not None:
-            keep &= start < before
-        segs = list(
-            map(
-                Segment,
-                t[keep].tolist(),
-                ps.core[order][keep].tolist(),
-                start[keep].tolist(),
-                (start[keep] + take[keep]).tolist(),
-                frequencies[t[keep]].tolist(),
-            )
-        )
-        segs.sort(key=lambda s: (s.start, s.core, s.task_id))
-        return segs
 
     def __repr__(self) -> str:
         return (
@@ -638,8 +583,3 @@ class ScheduleSession:
             f"subintervals, method={self.method!r}, m={self.m})"
         )
 
-
-def _row_iter(session: ScheduleSession) -> Iterator[tuple[int, Task]]:
-    """(handle, task) pairs in row order — debugging/inspection helper."""
-    for h in session.handles:
-        yield h, session.task_of(h)

@@ -21,7 +21,9 @@ import time
 import numpy as np
 
 from ..power import PolynomialPower
-from .incremental import SESSION_METHODS, ScheduleSession
+from ..smoke import Smoke, main
+from .allocation import METHODS
+from .incremental import ScheduleSession
 from .scheduler import SubintervalScheduler
 from .task import Task
 
@@ -50,7 +52,7 @@ def _stream(seed: int):
             yield "advance", None, clock
 
 
-def _run_method(method: str, seed: int) -> tuple[bool, str]:
+def _check_method(smoke: Smoke, method: str, seed: int) -> None:
     power = PolynomialPower(alpha=3.0, static=0.1)
     m = 4
     session = ScheduleSession(m, power, method=method)
@@ -89,47 +91,34 @@ def _run_method(method: str, seed: int) -> tuple[bool, str]:
         plan = batch.plan(method)
         energy = batch.final(method).energy
         rebuild_s += time.perf_counter() - t0
+        diverged = None
         if not np.array_equal(plan.timeline.boundaries, session.boundaries):
-            return False, f"{method}: boundaries diverged at clock={clock:.3f}"
-        if not np.array_equal(plan.x, session._x):
-            return False, f"{method}: allocation matrix diverged at clock={clock:.3f}"
-        if energy != session.energy:
-            return False, (
-                f"{method}: energy diverged at clock={clock:.3f} "
-                f"(session {session.energy!r} vs batch {energy!r})"
-            )
+            diverged = "boundaries"
+        elif not np.array_equal(plan.x, session._x):
+            diverged = "allocation matrix"
+        elif energy != session.energy:
+            diverged = f"energy (session {session.energy!r} vs batch {energy!r})"
+        if diverged:
+            smoke.fail(f"{method}: {diverged} diverged at clock={clock:.3f}")
+            return
     speedup = rebuild_s / delta_s if delta_s > 0 else float("inf")
     ratio = session.touched_columns / max(session.total_columns, 1)
-    line = (
-        f"  ok  {method:6s} events={_EVENTS} n_max={n_max:3d} "
+    smoke.check(
+        speedup >= _SPEEDUP_GATE,
+        f"{method:6s} events={_EVENTS} n_max={n_max:3d} "
         f"delta={delta_s * 1e3:7.1f}ms rebuild={rebuild_s * 1e3:7.1f}ms "
-        f"speedup={speedup:5.1f}x touched={ratio:.3f}"
+        f"speedup={speedup:5.1f}x touched={ratio:.3f}",
+        f"{method}: delta speedup {speedup:.1f}x below the "
+        f"{_SPEEDUP_GATE:.0f}x gate (delta {delta_s:.3f}s, "
+        f"rebuild {rebuild_s:.3f}s)",
     )
-    if speedup < _SPEEDUP_GATE:
-        return False, (
-            f"{method}: delta speedup {speedup:.1f}x below the "
-            f"{_SPEEDUP_GATE:.0f}x gate (delta {delta_s:.3f}s, "
-            f"rebuild {rebuild_s:.3f}s)"
-        )
-    return True, line
 
 
-def run(seed: int = 0) -> int:
-    """Replay the stream per policy; return a process exit code."""
-    failures: list[str] = []
-    for method in SESSION_METHODS:
-        ok, line = _run_method(method, seed)
-        if ok:
-            print(line)
-        else:
-            failures.append(line)
-    if failures:
-        for f in failures:
-            print(f"FAIL {f}", file=sys.stderr)
-        return 1
-    print(f"incremental smoke: {len(SESSION_METHODS)} policies bit-exact")
-    return 0
+def check(smoke: Smoke) -> None:
+    """Replay the seed-0 stream once per allocation policy."""
+    for method in METHODS:
+        _check_method(smoke, method, seed=0)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(run())
+    sys.exit(main("incremental-smoke", check))

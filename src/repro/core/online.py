@@ -13,26 +13,22 @@ offline pipeline's guarantee that all deadlines are met — it just pays an
 energy premium for its ignorance of the future.  The premium is measured by
 the ``ablation_online`` experiment.
 
-Two interchangeable engines drive the re-planning:
-
-* ``engine="session"`` (default) — a single
-  :class:`~repro.core.incremental.ScheduleSession` carried across arrival
-  instants.  Each instant becomes a handful of deltas (retire finished
-  tasks, :meth:`~repro.core.incremental.ScheduleSession.advance_to` the
-  current time, admit the new arrivals) instead of a full pipeline rebuild.
-* ``engine="rebuild"`` — the original full-batch re-plan at every release,
-  kept verbatim as the equivalence oracle.
-
-Both engines produce the same executed schedule (the session's plan is
-bit-identical to a batch rebuild over the same rows; see
-:mod:`repro.core.incremental`).
+Each re-plan is a handful of deltas on one
+:class:`~repro.core.incremental.ScheduleSession` carried across arrival
+instants (retire finished tasks,
+:meth:`~repro.core.incremental.ScheduleSession.advance_to` the current
+time, admit the new arrivals) instead of a full pipeline rebuild.  The
+session's plan is bit-identical to a batch rebuild over the same rows (see
+:mod:`repro.core.incremental`), so the executed schedule equals the one a
+full re-plan at every release would produce; the test-suite runs the same
+event loop with that rebuild as its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
+from typing import Callable
 
 import numpy as np
 
@@ -40,14 +36,19 @@ from ..power.models import PolynomialPower
 from .allocation import AllocationMethod
 from .incremental import ScheduleSession
 from .schedule import Schedule, Segment
-from .scheduler import SubintervalScheduler
 from .task import Task, TaskSet
 
 __all__ = ["OnlineResult", "OnlineSubintervalScheduler"]
 
 _EPS = 1e-9
 
-OnlineEngine = Literal["session", "rebuild"]
+#: One re-plan instant: ``(now, known, remaining, horizon_end)`` →
+#: ``(plan segments, subintervals recomputed, subintervals in the plan)``.
+#: ``known`` lists the released unfinished tasks (ascending index) and
+#: ``remaining`` their outstanding work; segments use global task ids.
+Replan = Callable[
+    [float, list[int], np.ndarray, float | None], tuple[list[Segment], int, int]
+]
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class OnlineResult:
     ``touched_subintervals`` / ``total_subintervals`` aggregate the delta
     cost accounting over the whole run: how many subinterval allocations
     were actually recomputed versus how many existed across all re-plans.
-    The rebuild engine recomputes everything, so its ratio is 1.
+    A full rebuild at every release recomputes everything (ratio 1).
     """
 
     schedule: Schedule
@@ -90,10 +91,6 @@ class OnlineSubintervalScheduler:
         Platform definition.
     method:
         Heavy-subinterval allocation policy used at every re-plan.
-    engine:
-        ``"session"`` re-plans by delta on a persistent
-        :class:`~repro.core.incremental.ScheduleSession`; ``"rebuild"``
-        re-runs the full batch pipeline at every release (the oracle).
     """
 
     def __init__(
@@ -102,28 +99,59 @@ class OnlineSubintervalScheduler:
         m: int,
         power: PolynomialPower,
         method: AllocationMethod = "der",
-        engine: OnlineEngine = "session",
     ):
         if m < 1:
             raise ValueError("m must be >= 1")
-        if engine not in ("session", "rebuild"):
-            raise ValueError(f"unknown online engine {engine!r}")
         self.tasks = tasks
         self.m = int(m)
         self.power = power
         self.method: AllocationMethod = method
-        self.engine: OnlineEngine = engine
 
     def run(self) -> OnlineResult:
         """Simulate the arrival process and return the executed schedule."""
-        if self.engine == "rebuild":
-            return self._run_rebuild()
-        return self._run_session()
+        return self._drive(self._session_replan())
 
-    # -- shared plumbing --------------------------------------------------------
+    def _drive(self, replan: Replan) -> OnlineResult:
+        """The event loop: at every release instant, re-plan the known
+        unfinished work with ``replan`` and execute it until the next one."""
+        tasks = self.tasks
+        remaining = tasks.works.copy()
+        # relative: at large time scales (say µs) rounding dust of the
+        # executed work exceeds any absolute epsilon
+        finished = 1e-7 * np.maximum(tasks.works, 1.0)
+        release_times = np.unique(tasks.releases).tolist()
+        executed: list[Segment] = []
+        replans = touched = total = 0
 
-    def _release_instants(self) -> np.ndarray:
-        return np.unique(self.tasks.releases)
+        for k, now in enumerate(release_times):
+            horizon_end = release_times[k + 1] if k + 1 < len(release_times) else None
+            known = np.flatnonzero(
+                (tasks.releases <= now + _EPS) & (remaining > finished)
+            ).tolist()
+            for i in known:
+                if float(tasks.deadlines[i]) <= now + _EPS:
+                    raise AssertionError(
+                        f"task {i} has remaining work past its deadline (bug)"
+                    )
+            plan_segments, n_touched, n_total = replan(
+                now, known, remaining, horizon_end
+            )
+            touched += n_touched
+            total += n_total
+            if known:
+                replans += 1
+                self._execute_until(plan_segments, horizon_end, executed, remaining)
+
+        remaining = np.where(remaining > finished, remaining, 0.0)
+        if np.any(remaining > 0):
+            leftover = {int(i): float(w) for i, w in enumerate(remaining) if w > 0}
+            raise AssertionError(f"online run left work unfinished: {leftover}")
+        return OnlineResult(
+            schedule=Schedule(tasks, self.m, self.power, executed),
+            replans=replans,
+            touched_subintervals=touched,
+            total_subintervals=total,
+        )
 
     @staticmethod
     def _execute_until(
@@ -149,154 +177,50 @@ class OnlineSubintervalScheduler:
             executed.append(clipped)
             remaining[seg.task_id] -= clipped.work
 
-    def _finish(
-        self,
-        executed: list[Segment],
-        remaining: np.ndarray,
-        replans: int,
-        touched: int = 0,
-        total: int = 0,
-    ) -> OnlineResult:
-        remaining = np.where(
-            remaining < 1e-7 * np.maximum(self.tasks.works, 1.0), 0.0, remaining
-        )
-        if np.any(remaining > 0):
-            leftover = {int(i): float(w) for i, w in enumerate(remaining) if w > 0}
-            raise AssertionError(f"online run left work unfinished: {leftover}")
-        schedule = Schedule(self.tasks, self.m, self.power, executed)
-        return OnlineResult(
-            schedule=schedule,
-            replans=replans,
-            touched_subintervals=touched,
-            total_subintervals=total,
-        )
-
-    # -- incremental engine -----------------------------------------------------
-
-    def _run_session(self) -> OnlineResult:
-        tasks = self.tasks
-        n = len(tasks)
-        remaining = tasks.works.copy()
-        release_times = self._release_instants()
-        executed: list[Segment] = []
-        replans = 0
-
+    def _session_replan(self) -> Replan:
+        """The production re-plan: deltas on one carried session."""
+        deadlines = self.tasks.deadlines
         session = ScheduleSession(self.m, self.power, method=self.method)
         handles: dict[int, int] = {}  # global task index -> session handle
         order: list[int] = []  # global indices in session row order (ascending)
 
-        for k, now in enumerate(release_times):
-            now = float(now)
-            horizon_end = (
-                float(release_times[k + 1]) if k + 1 < len(release_times) else None
-            )
-            known = [
-                i
-                for i in range(n)
-                if tasks.releases[i] <= now + _EPS and remaining[i] > _EPS
-            ]
+        def replan(now, known, remaining, horizon_end):
+            touched0, total0 = session.touched_columns, session.total_columns
             known_set = set(known)
-
             # retire tasks that finished inside the last window *before*
             # advancing time — their deadlines may not be after ``now``
             for g in [g for g in order if g not in known_set]:
                 session.complete_task(handles.pop(g))
                 order.remove(g)
 
-            if not known:
-                continue
-
-            for g in known:
-                if float(tasks.deadlines[g]) <= now + _EPS:
-                    raise AssertionError(
-                        f"task {g} has remaining work past its deadline (bug)"
+            segments: list[Segment] = []
+            if known:
+                # re-anchor the carried-over tasks to ``now`` with their
+                # remaining work — the delta analogue of rebuilding over
+                # Task(now, D_i, remaining_i)
+                if not session.is_empty:
+                    session.advance_to(
+                        now, works={handles[g]: float(remaining[g]) for g in order}
                     )
-
-            # re-anchor the carried-over tasks to ``now`` with their
-            # remaining work — the delta analogue of rebuilding over
-            # Task(now, D_i, remaining_i)
-            if not session.is_empty:
-                session.advance_to(
-                    now, works={handles[g]: float(remaining[g]) for g in order}
-                )
-
-            # admit this instant's arrivals, preserving ascending original
-            # index as the row order (bit-exactness against the batch
-            # oracle requires identical row order)
-            for g in known:
-                if g not in handles:
-                    idx = int(np.searchsorted(np.asarray(order), g))
-                    handles[g] = session.add_task(
-                        Task(now, float(tasks.deadlines[g]), float(remaining[g])),
-                        index=idx,
-                    )
-                    order.insert(idx, g)
-            replans += 1
-
-            plan_segments = [
-                Segment(order[s.task_id], s.core, s.start, s.end, s.frequency)
-                for s in session.final_segments(before=horizon_end)
-            ]
-            self._execute_until(plan_segments, horizon_end, executed, remaining)
-
-        return self._finish(
-            executed,
-            remaining,
-            replans,
-            touched=session.touched_columns,
-            total=session.total_columns,
-        )
-
-    # -- full-rebuild engine (equivalence oracle) -------------------------------
-
-    def _run_rebuild(self) -> OnlineResult:
-        tasks = self.tasks
-        n = len(tasks)
-        remaining = tasks.works.copy()
-        release_times = self._release_instants()
-        executed: list[Segment] = []
-        replans = 0
-        columns = 0
-
-        for k, now in enumerate(release_times):
-            horizon_end = (
-                float(release_times[k + 1]) if k + 1 < len(release_times) else None
+                # admit this instant's arrivals, preserving ascending
+                # original index as the row order (bit-exactness against a
+                # batch rebuild requires identical row order)
+                for g in known:
+                    if g not in handles:
+                        idx = int(np.searchsorted(np.asarray(order), g))
+                        handles[g] = session.add_task(
+                            Task(now, float(deadlines[g]), float(remaining[g])),
+                            index=idx,
+                        )
+                        order.insert(idx, g)
+                segments = [
+                    Segment(order[s.task_id], s.core, s.start, s.end, s.frequency)
+                    for s in session.final_segments(before=horizon_end)
+                ]
+            return (
+                segments,
+                session.touched_columns - touched0,
+                session.total_columns - total0,
             )
-            known = [
-                i
-                for i in range(n)
-                if tasks.releases[i] <= now + _EPS and remaining[i] > _EPS
-            ]
-            if not known:
-                continue
 
-            plan_segments, n_cols = self._replan(known, remaining, float(now))
-            replans += 1
-            columns += n_cols
-            self._execute_until(plan_segments, horizon_end, executed, remaining)
-
-        return self._finish(
-            executed, remaining, replans, touched=columns, total=columns
-        )
-
-    def _replan(
-        self, known: list[int], remaining: np.ndarray, now: float
-    ) -> tuple[list[Segment], int]:
-        """Offline-plan the remaining work of the known tasks from ``now``."""
-        sub_tasks = []
-        id_map: list[int] = []
-        for i in known:
-            deadline = float(self.tasks.deadlines[i])
-            if deadline <= now + _EPS:
-                raise AssertionError(
-                    f"task {i} has remaining work past its deadline (bug)"
-                )
-            sub_tasks.append(Task(now, deadline, float(remaining[i])))
-            id_map.append(i)
-        scheduler = SubintervalScheduler(TaskSet(sub_tasks), self.m, self.power)
-        plan = scheduler.final(self.method)
-        segments = [
-            Segment(id_map[s.task_id], s.core, s.start, s.end, s.frequency)
-            for s in plan.schedule
-        ]
-        return segments, len(scheduler.timeline)
+        return replan

@@ -28,7 +28,7 @@ import numpy as np
 from ..power.discrete import DiscreteFrequencySet
 from .allocation import AllocationMethod
 from .schedule import Schedule, Segment
-from .scheduler import SubintervalScheduler
+from .scheduler import SubintervalScheduler, fill_slots
 
 __all__ = ["PracticalResult", "PracticalScheduler"]
 
@@ -106,7 +106,7 @@ class PracticalScheduler:
         # emitted schedule stays physically valid (it completes less work)
         used_times = np.minimum(used_times, plan.available_times)
 
-        segments = planner._fill_slots(plan, chosen, used_times)
+        segments = fill_slots(planner._slots_flat(plan), used_times, chosen)
         # rebind to the discrete model so energy comes from the table
         schedule = Schedule(tasks, planner.m, self.fset, segments)
         return PracticalResult(

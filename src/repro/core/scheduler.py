@@ -30,11 +30,12 @@ from .ideal import IdealSolution, solve_ideal
 from .intervals import Timeline
 from .schedule import Schedule, Segment
 from .task import TaskSet
-from .wrap_schedule import PackedSlots, Slot, pack_matrix_flat, wrap_schedule
+from .wrap_schedule import PackedSlots, pack_matrix_flat
 
 __all__ = [
     "SchedulingResult",
     "SubintervalScheduler",
+    "fill_slots",
     "schedule_taskset",
 ]
 
@@ -91,6 +92,7 @@ class SubintervalScheduler:
         self.m = int(m)
         self.power = power
         self.timeline = Timeline(tasks) if timeline is None else timeline
+        self._plans: dict[str, AllocationPlan] = {}
 
     # -- shared building blocks ----------------------------------------------------
 
@@ -106,19 +108,12 @@ class SubintervalScheduler:
 
     def plan(self, method: AllocationMethod) -> AllocationPlan:
         """The available-time matrix for the requested allocation policy."""
-        if method == "even":
-            return self._plan_even
-        if method == "der":
-            return self._plan_der
-        raise ValueError(f"unknown allocation method {method!r}")
-
-    @cached_property
-    def _plan_even(self) -> AllocationPlan:
-        return build_allocation_plan(self.timeline, self.m, "even")
-
-    @cached_property
-    def _plan_der(self) -> AllocationPlan:
-        return build_allocation_plan(self.timeline, self.m, "der", ideal=self.ideal)
+        plan = self._plans.get(method)
+        if plan is None:
+            ideal = self.ideal if method == "der" else None
+            plan = build_allocation_plan(self.timeline, self.m, method, ideal=ideal)
+            self._plans[method] = plan
+        return plan
 
     # -- slot construction -----------------------------------------------------------
 
@@ -134,35 +129,6 @@ class SubintervalScheduler:
             self.timeline.boundaries, plan.x, self.m, self.timeline.overlap_counts
         )
 
-    def _slots(self, plan: AllocationPlan) -> list[list[Slot]]:
-        """Per-subinterval :class:`Slot` lists (list view of the flat pack)."""
-        return self._slots_flat(plan).to_slot_lists()
-
-    def _slots_scalar(self, plan: AllocationPlan) -> list[list[Slot]]:
-        """Per-subinterval scalar reference for :meth:`_slots`.
-
-        The original Python loop over subintervals, kept as the oracle for
-        the packing-equivalence tests and the hot-path benchmark.
-        """
-        out: list[list[Slot]] = []
-        for sub in self.timeline:
-            if sub.n_overlapping == 0:
-                out.append([])
-                continue
-            if sub.is_heavy(self.m):
-                alloc = {
-                    tid: float(plan.x[tid, sub.index]) for tid in sub.task_ids
-                }
-                out.append(wrap_schedule(sub.start, sub.end, alloc, self.m))
-            else:
-                out.append(
-                    [
-                        Slot(tid, core, sub.start, sub.end)
-                        for core, tid in enumerate(sub.task_ids)
-                    ]
-                )
-        return out
-
     # -- final schedules (S^F1 / S^F2) --------------------------------------------------
 
     def final(self, method: AllocationMethod) -> SchedulingResult:
@@ -173,17 +139,7 @@ class SubintervalScheduler:
         the rest of its available time idle (cores sleep).
         """
         plan = self.plan(method)
-        assign = refine_frequencies(self.tasks.works, plan.available_times, self.power)
-        segments = self._fill_slots(plan, assign.frequencies, assign.used_times)
-        schedule = Schedule(self.tasks, self.m, self.power, segments)
-        kind = "F1" if method == "even" else "F2"
-        return SchedulingResult(
-            kind=kind,
-            energy=assign.total_energy,
-            plan=plan,
-            schedule=schedule,
-            frequencies=assign.frequencies,
-        )
+        return self._final(plan, "F1" if method == "even" else "F2")
 
     def final_from_plan(self, plan: AllocationPlan, kind: str = "F*") -> SchedulingResult:
         """Final schedule from an externally-built allocation plan.
@@ -206,62 +162,19 @@ class SubintervalScheduler:
                     "than this scheduler"
                 )
         plan.check()
+        return self._final(plan, kind)
+
+    def _final(self, plan: AllocationPlan, kind: str) -> SchedulingResult:
         assign = refine_frequencies(self.tasks.works, plan.available_times, self.power)
-        segments = self._fill_slots(plan, assign.frequencies, assign.used_times)
-        schedule = Schedule(self.tasks, self.m, self.power, segments)
+        segments = fill_slots(
+            self._slots_flat(plan), assign.used_times, assign.frequencies
+        )
         return SchedulingResult(
             kind=kind,
             energy=assign.total_energy,
             plan=plan,
-            schedule=schedule,
+            schedule=Schedule(self.tasks, self.m, self.power, segments),
             frequencies=assign.frequencies,
-        )
-
-    def _fill_slots(
-        self,
-        plan: AllocationPlan,
-        frequencies: np.ndarray,
-        used_times: np.ndarray,
-    ) -> list[Segment]:
-        """Cut each task's earliest slots down to its used time, batched.
-
-        Per task (slots in time order) the kept prefix is a cumulative-sum
-        cut: slot ``k`` contributes ``clip(used − prefix_k, 0, duration_k)``.
-        """
-        ps = self._slots_flat(plan)
-        if len(ps) == 0:
-            return []
-        order = np.lexsort((ps.start, ps.task))
-        t = ps.task[order]
-        start = ps.start[order]
-        dur = ps.durations[order]
-        cum = np.cumsum(dur)
-        first = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
-        base = np.zeros(len(self.tasks))
-        base[t[first]] = cum[first] - dur[first]
-        prefix = cum - dur - base[t]  # slot time before this slot, per task
-        take = np.clip(used_times[t] - prefix, 0.0, dur)
-
-        placed = np.bincount(t, weights=take, minlength=len(self.tasks))
-        short = used_times - placed
-        bad = short > 1e-6 * np.maximum(used_times, 1.0)
-        if np.any(bad):
-            tid = int(np.flatnonzero(bad)[0])
-            raise AssertionError(
-                f"task {tid}: could not place {short[tid]} of its execution "
-                "time into available slots (allocation bug)"
-            )
-
-        keep = take > _EPS
-        return list(
-            map(
-                Segment,
-                t[keep].tolist(),
-                ps.core[order][keep].tolist(),
-                start[keep].tolist(),
-                (start[keep] + take[keep]).tolist(),
-                frequencies[t[keep]].tolist(),
-            )
         )
 
     # -- intermediate schedules (S^I1 / S^I2) ----------------------------------------------
@@ -343,6 +256,64 @@ class SubintervalScheduler:
             "I2": self.intermediate("der"),
             "F2": self.final("der"),
         }
+
+
+def fill_slots(
+    ps: PackedSlots,
+    used_times: np.ndarray,
+    frequencies: np.ndarray,
+    before: float | None = None,
+) -> list[Segment]:
+    """Cut each task's earliest slots down to its used time, batched.
+
+    Per task (slots in time order) the kept prefix is a cumulative-sum
+    cut: slot ``k`` contributes ``clip(used − prefix_k, 0, duration_k)``.
+    ``before`` drops the segments starting at or after it.  Segments come
+    back in :class:`Schedule` order, ``(start, core, task_id)``: the online
+    driver subtracts executed work in this order, and its bit-equality with
+    a batch rebuild depends on it.
+    """
+    if len(ps) == 0:
+        return []
+    n = used_times.size
+    order = np.lexsort((ps.start, ps.task))
+    t = ps.task[order]
+    start = ps.start[order]
+    dur = ps.durations[order]
+    cum = np.cumsum(dur)
+    first = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+    base = np.zeros(n)
+    base[t[first]] = cum[first] - dur[first]
+    prefix = cum - dur - base[t]  # slot time before this slot, per task
+    take = np.clip(used_times[t] - prefix, 0.0, dur)
+
+    placed = np.bincount(t, weights=take, minlength=n)
+    short = used_times - placed
+    bad = short > 1e-6 * np.maximum(used_times, 1.0)
+    if np.any(bad):
+        tid = int(np.flatnonzero(bad)[0])
+        raise AssertionError(
+            f"task {tid}: could not place {short[tid]} of its execution "
+            "time into available slots (allocation bug)"
+        )
+
+    keep = take > _EPS
+    if before is not None:
+        keep &= start < before
+    t, core, start = t[keep], ps.core[order][keep], start[keep]
+    end = start + take[keep]
+    seg = np.lexsort((t, core, start))
+    t = t[seg]
+    return list(
+        map(
+            Segment,
+            t.tolist(),
+            core[seg].tolist(),
+            start[seg].tolist(),
+            end[seg].tolist(),
+            frequencies[t].tolist(),
+        )
+    )
 
 
 def schedule_taskset(

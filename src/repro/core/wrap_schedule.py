@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["Slot", "PackedSlots", "wrap_schedule", "pack_matrix", "pack_matrix_flat"]
+__all__ = ["Slot", "PackedSlots", "wrap_schedule", "pack_matrix_flat"]
 
 _EPS = 1e-9
 
@@ -286,18 +286,3 @@ def pack_matrix_flat(
         task, core, start, end, sub = ii, core1, start1, end1, jj
     return PackedSlots(task, core, start, end, sub, int(delta.size))
 
-
-def pack_matrix(
-    boundaries: np.ndarray,
-    x: np.ndarray,
-    m: int,
-    n_overlapping: np.ndarray,
-    eps: float = _EPS,
-) -> list[list[Slot]]:
-    """List-of-:class:`Slot` view of :func:`pack_matrix_flat`.
-
-    Returns one list of slots per subinterval, in packing order.  Prefer
-    :func:`pack_matrix_flat` on hot paths — the :class:`Slot` objects here
-    cost more to build than the packing itself.
-    """
-    return pack_matrix_flat(boundaries, x, m, n_overlapping, eps).to_slot_lists()

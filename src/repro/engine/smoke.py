@@ -13,6 +13,7 @@ from __future__ import annotations
 import sys
 
 from ..core.task import TaskSet
+from ..smoke import Smoke, main
 from . import Platform, SolveRequest, solve, solver_names
 
 #: Small, contention-light instance (never more than m=2 overlapping tasks)
@@ -31,16 +32,15 @@ def _options(name: str) -> dict:
     return {}
 
 
-def run() -> int:
-    """Solve the fixture with every registered solver; return exit code."""
+def check(smoke: Smoke) -> None:
+    """Solve the fixture with every registered solver."""
     platform = Platform.from_params(m=2, alpha=3.0, static=0.1)
-    failures: list[str] = []
     for name in solver_names():
         request = SolveRequest(tasks=_TASKS, platform=platform)
         try:
             result = solve(name, request, **_options(name))
         except Exception as exc:  # noqa: BLE001 - smoke must report, not die
-            failures.append(f"{name}: {type(exc).__name__}: {exc}")
+            smoke.fail(f"{name}: {type(exc).__name__}: {exc}")
             continue
         problems = []
         if not (result.energy > 0):
@@ -53,20 +53,13 @@ def run() -> int:
             problems.append(f"deadline misses {result.deadline_misses}")
         if not result.feasible:
             problems.append("reported infeasible")
-        if problems:
-            failures.append(f"{name}: " + "; ".join(problems))
-        else:
-            print(
-                f"  ok  {name:28s} kind={result.kind:10s} "
-                f"E={result.energy:.6g}  {result.wall_time_s * 1e3:.1f}ms"
-            )
-    if failures:
-        for f in failures:
-            print(f"  FAIL {f}", file=sys.stderr)
-        return 1
-    print(f"solvers-smoke OK ({len(solver_names())} solvers)")
-    return 0
+        smoke.check(
+            not problems,
+            f"{name:28s} kind={result.kind:10s} "
+            f"E={result.energy:.6g}  {result.wall_time_s * 1e3:.1f}ms",
+            f"{name}: " + "; ".join(problems),
+        )
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    sys.exit(main("solvers-smoke", check))

@@ -81,7 +81,6 @@ def _solve_online(req: SolveRequest, options: Mapping) -> SolveResult:
         req.platform.m,
         req.platform.power,
         method=options.get("method", "der"),
-        engine=options.get("engine", "session"),
     ).run()
     return SolveResult(
         solver="",

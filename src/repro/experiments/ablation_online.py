@@ -76,15 +76,8 @@ def run(
     seed: int = 0,
     task_counts: tuple[int, ...] = (10, 20, 30),
     m: int = 4,
-    engine: str = "session",
 ) -> OnlineAblationResult:
-    """Compare offline and online S^F2 across task counts.
-
-    ``engine`` selects the online re-planning driver — the incremental
-    ``"session"`` default or the full-``"rebuild"`` oracle.  The two are
-    numerically equivalent (the session plan matches the batch rebuild
-    bit-for-bit), so the choice only affects wall time.
-    """
+    """Compare offline and online S^F2 across task counts."""
     offline = np.zeros(len(task_counts))
     online = np.zeros(len(task_counts))
     replans = np.zeros(len(task_counts))
@@ -97,9 +90,7 @@ def run(
             power = spec.power()
             opt = solve_optimal(tasks, m, power)
             off = SubintervalScheduler(tasks, m, power).final("der")
-            on = OnlineSubintervalScheduler(
-                tasks, m, power, engine=engine
-            ).run()
+            on = OnlineSubintervalScheduler(tasks, m, power).run()
             offline[i] += off.energy / opt.energy
             online[i] += on.energy / opt.energy
             replans[i] += on.replans

@@ -32,10 +32,12 @@ contract the JSON snapshot makes).
 from __future__ import annotations
 
 import math
+import re
 
 __all__ = [
     "render_prometheus",
     "render_prometheus_multi",
+    "parse_prometheus",
     "CONTENT_TYPE",
     "prom_name",
 ]
@@ -214,3 +216,56 @@ def render_prometheus_multi(
             list((section.get("labels") or {}).items()),
         )
     return w.render()
+
+
+_SAMPLE = re.compile(
+    r"([a-zA-Z_:][a-zA-Z0-9_:]*)"  # metric name
+    r'(\{(?:[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\.)*",?)*\})?'  # labels
+    r" (\S+)"  # value
+)
+#: sample-name suffixes that belong to a summary or histogram family
+_SUFFIXES = ("_sum", "_count", "_bucket")
+
+
+def parse_prometheus(text: str) -> dict[str, dict]:
+    """Strictly parse text exposition: family → ``{"type", "samples"}``.
+
+    ``samples`` maps each series (name plus label block, as written) to
+    its float value.  Raises ``ValueError`` on a value that is not a
+    float, a sample before its family's ``# TYPE`` line, a second ``#
+    HELP`` or ``# TYPE`` line for one family, and a malformed or
+    unterminated label block.
+    """
+    families: dict[str, dict] = {}
+    headers: set[tuple[str, str]] = set()
+    for n, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        if line.startswith(("# HELP ", "# TYPE ")):
+            parts = line.split(" ", 3)
+            if len(parts) < 4:
+                raise ValueError(f"line {n}: truncated header {line!r}")
+            _, keyword, family, rest = parts
+            if (keyword, family) in headers:
+                raise ValueError(f"line {n}: second {keyword} line for {family}")
+            headers.add((keyword, family))
+            if keyword == "TYPE":
+                families[family] = {"type": rest, "samples": {}}
+            continue
+        if line.startswith("#"):
+            continue
+        match = _SAMPLE.fullmatch(line)
+        if match is None:
+            raise ValueError(f"line {n}: malformed sample {line!r}")
+        name, labels, value = match.groups()
+        try:
+            number = float(value)
+        except ValueError:
+            raise ValueError(f"line {n}: non-float value {value!r}") from None
+        family = name
+        if family not in families:
+            family = next((name[: -len(x)] for x in _SUFFIXES if name.endswith(x)), "")
+            if families.get(family, {}).get("type") not in ("summary", "histogram"):
+                raise ValueError(f"line {n}: sample {name} before its TYPE line")
+        families[family]["samples"][name + (labels or "")] = number
+    return families

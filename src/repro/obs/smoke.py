@@ -22,7 +22,6 @@ ports so the check is hermetic:
 
 from __future__ import annotations
 
-import asyncio
 import os
 import sys
 import tempfile
@@ -31,6 +30,8 @@ from ..service.config import ServiceConfig
 from ..service.http11 import request_once
 from ..service.loadgen import run_loadgen
 from ..service.server import SchedulingService
+from ..smoke import Smoke, main
+from .prom import parse_prometheus
 from .report import group_traces, load_spans, trace_summary
 
 #: traced p50 may exceed untraced p50 by at most this fraction...
@@ -53,31 +54,25 @@ def _workload_kwargs() -> dict:
 
 
 async def _run_against(config: ServiceConfig) -> dict:
-    service = SchedulingService(config)
-    await service.start()
-    try:
+    async with SchedulingService(config) as service:
         return await run_loadgen(
             service.config.host, service.port, **_workload_kwargs()
         )
-    finally:
-        await service.stop()
 
 
-async def _check_spans_and_prom(failures: list[str]) -> None:
+async def _check_spans_and_prom(smoke: Smoke) -> None:
     fd, path = tempfile.mkstemp(suffix=".jsonl", prefix="obs-smoke-")
     os.close(fd)
     try:
         config = ServiceConfig(
             port=0, workers=0, log_interval=0, trace_path=path
         )
-        service = SchedulingService(config)
-        await service.start()
-        try:
+        async with SchedulingService(config) as service:
             stats = await run_loadgen(
                 service.config.host, service.port, **_workload_kwargs()
             )
             if stats["errors"] or stats["ok"] != stats["requests"]:
-                failures.append(f"loadgen against traced daemon: {stats}")
+                smoke.fail(f"loadgen against traced daemon: {stats}")
             status, body = await request_once(
                 service.config.host,
                 service.port,
@@ -85,54 +80,43 @@ async def _check_spans_and_prom(failures: list[str]) -> None:
                 "/metrics",
                 headers={"Accept": "text/plain"},
             )
-            _check_prom(status, body.get("text", ""), failures)
-        finally:
-            await service.stop()
+        _check_prom(status, body.get("text", ""), smoke)
 
         spans = load_spans(path)
         if not spans:
-            failures.append("traced daemon exported no spans")
+            smoke.fail("traced daemon exported no spans")
             return
         scheduled = [tv for tv in group_traces(spans) if tv.is_scheduled()]
         if not scheduled:
-            failures.append("no scheduled traces in the export")
+            smoke.fail("no scheduled traces in the export")
         broken = [tv.trace_id for tv in scheduled if not tv.is_complete()]
-        if broken:
-            failures.append(
-                f"{len(broken)}/{len(scheduled)} scheduled traces missing "
-                f"part of the service→pool→engine→solver chain "
-                f"(e.g. {broken[0]})"
-            )
-        else:
-            print(
-                f"  ok  {len(scheduled)} scheduled traces, every span "
-                f"chain complete"
-            )
+        smoke.check(
+            not broken,
+            f"{len(scheduled)} scheduled traces, every span chain complete",
+            f"{len(broken)}/{len(scheduled)} scheduled traces missing "
+            f"part of the service→pool→engine→solver chain "
+            f"(e.g. {broken[:1]})",
+        )
         summary = trace_summary(spans)
-        if not summary["stages"]["solve"]["count"]:
-            failures.append(f"empty solve stage in trace summary: {summary}")
-        else:
-            print("  ok  repro-trace stage breakdown is populated")
+        smoke.check(
+            bool(summary["stages"]["solve"]["count"]),
+            "repro-trace stage breakdown is populated",
+            f"empty solve stage in trace summary: {summary}",
+        )
     finally:
         os.unlink(path)
 
 
-def _check_prom(status: int, text: str, failures: list[str]) -> None:
-    """Minimal 0.0.4 exposition parse + the window_len contract."""
+def _check_prom(status: int, text: str, smoke: Smoke) -> None:
+    """Strict 0.0.4 exposition parse + the window_len contract."""
     if status != 200 or not text:
-        failures.append(f"prometheus scrape failed: HTTP {status}")
+        smoke.fail(f"prometheus scrape failed: HTTP {status}")
         return
-    families: set[str] = set()
-    for line in text.splitlines():
-        if line.startswith("# TYPE "):
-            families.add(line.split()[2])
-            continue
-        if line.startswith("#") or not line.strip():
-            continue
-        name_part = line.split()[0]
-        float(line.rsplit(" ", 1)[1])  # every sample value parses
-        if "{" in name_part and not name_part.endswith("}"):
-            failures.append(f"malformed label block: {line!r}")
+    try:
+        families = parse_prometheus(text)
+    except ValueError as exc:
+        smoke.fail(f"prometheus exposition does not parse: {exc}")
+        return
     summaries = {
         f
         for f in families
@@ -140,20 +124,18 @@ def _check_prom(status: int, text: str, failures: list[str]) -> None:
     }
     histogramish = {f for f in families if f.endswith("_window_len")}
     if not histogramish:
-        failures.append("no *_window_len gauges in the exposition")
-    elif len(summaries) != len(histogramish):
-        failures.append(
-            f"histogram families without window_len: "
-            f"{len(histogramish) - len(summaries)}"
-        )
+        smoke.fail("no *_window_len gauges in the exposition")
     else:
-        print(
-            f"  ok  prometheus exposition parsed "
-            f"({len(families)} families, window_len on every histogram)"
+        smoke.check(
+            len(summaries) == len(histogramish),
+            f"prometheus exposition parsed ({len(families)} families, "
+            f"window_len on every histogram)",
+            f"histogram families without window_len: "
+            f"{len(histogramish) - len(summaries)}",
         )
 
 
-async def _check_overhead(failures: list[str]) -> None:
+async def _check_overhead(smoke: Smoke) -> None:
     last = ""
     for attempt in range(1, _OVERHEAD_ATTEMPTS + 1):
         fd, path = tempfile.mkstemp(suffix=".jsonl", prefix="obs-overhead-")
@@ -177,25 +159,18 @@ async def _check_overhead(failures: list[str]) -> None:
             f"(budget {budget:.3f} ms)"
         )
         if p50_traced <= budget:
-            print(f"  ok  overhead within budget: {last}")
+            smoke.ok(f"overhead within budget: {last}")
             return
         print(f"  retry {attempt}/{_OVERHEAD_ATTEMPTS}: {last}")
-    failures.append(f"tracing overhead exceeds {_OVERHEAD_FRAC:.0%}: {last}")
+    smoke.fail(f"tracing overhead exceeds {_OVERHEAD_FRAC:.0%}: {last}")
 
 
-async def _main() -> int:
-    failures: list[str] = []
+async def check(smoke: Smoke) -> None:
     print("obs-smoke: traced daemon + span completeness + prometheus")
-    await _check_spans_and_prom(failures)
+    await _check_spans_and_prom(smoke)
     print("obs-smoke: overhead guard")
-    await _check_overhead(failures)
-    if failures:
-        for f in failures:
-            print(f"  FAIL {f}", file=sys.stderr)
-        return 1
-    print("obs-smoke OK")
-    return 0
+    await _check_overhead(smoke)
 
 
 if __name__ == "__main__":
-    sys.exit(asyncio.run(_main()))
+    sys.exit(main("obs-smoke", check))

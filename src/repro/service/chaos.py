@@ -28,27 +28,33 @@ All fault decisions derive from ``--seed``, so a failure replays.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import json
 import sys
 import time
 
 from ..obs.metrics import MetricsRegistry
+from ..smoke import Smoke, main
 from .config import RetryPolicy, ServiceConfig
 from .faults import FaultInjector, FaultSpec
-from .http11 import HttpClient
+from .http11 import request_once
 from .loadgen import _make_tasksets, run_loadgen
 from .pool import SolveDispatcher
 from .server import SchedulingService
 
-__all__ = ["chaos_smoke", "main"]
+__all__ = ["check"]
 
 #: Server-side fault mix for the smoke run.  Kill is high so worker
 #: supervision is exercised even in short runs; delay/drop stay low so the
 #: p99 budget reflects the service, not the injector.
 SERVER_SPEC = "kill=0.2,delay=0.08:0.004,drop=0.04,seed={seed}"
 CLIENT_SPEC = "malform=0.1,seed={seed}"
+
+#: leg 2's load: the request count CI runs (at seed 7 every fault kind
+#: fires), with the worker pool and p99 budget the smoke always used
+_REQUESTS = 60
+_CONCURRENCY = 8
+_WORKERS = 2
+_P99_BUDGET_MS = 5000.0
 
 
 def _jobs_from_rows(tasksets, *, include_schedule: bool = False) -> list[dict]:
@@ -86,18 +92,14 @@ async def _request_with_retry(
     """One request, retried across chaos-injected connection drops."""
     last: Exception | None = None
     for _ in range(attempts):
-        client = HttpClient(host, port)
         try:
-            await client.connect()
-            return await client.request(method, path, payload)
+            return await request_once(host, port, method, path, payload)
         except (ConnectionError, asyncio.IncompleteReadError, OSError) as exc:
             last = exc
-        finally:
-            await client.close()
     raise ConnectionError(f"request {path} failed {attempts} times: {last}")
 
 
-async def _check_supervision(seed: int, failures: list[str]) -> dict:
+async def _check_supervision(seed: int, smoke: Smoke) -> dict:
     """Leg 1: forced crashes in thread mode — retry, bit-identity, abandonment."""
     jobs = _jobs_from_rows(_make_tasksets(3, 5, seed))
 
@@ -114,23 +116,23 @@ async def _check_supervision(seed: int, failures: list[str]) -> dict:
     retried = await chaotic.solve_batch(jobs)
 
     if any("error" in r for r in retried):
-        failures.append(f"supervised retry produced errors: {retried}")
+        smoke.fail(f"supervised retry produced errors: {retried}")
     energies = [r.get("energy") for r in retried]
     expected = [r.get("energy") for r in baseline]
     if energies != expected:
-        failures.append(
+        smoke.fail(
             f"retried energies {energies} != unfaulted energies {expected} "
             "(retries must be bit-identical re-executions)"
         )
     if metrics.counter("worker_restarts").value < 1:
-        failures.append("forced kill did not register a worker restart")
+        smoke.fail("forced kill did not register a worker restart")
     if metrics.counter("job_retries").value != len(jobs):
-        failures.append(
+        smoke.fail(
             f"job_retries={metrics.counter('job_retries').value}, "
             f"expected {len(jobs)}"
         )
     if metrics.counter("jobs_abandoned").value != 0:
-        failures.append("retry budget of 1 must absorb a single kill")
+        smoke.fail("retry budget of 1 must absorb a single kill")
 
     # abandonment: no retry budget → every job resolves to an error dict
     metrics0 = MetricsRegistry()
@@ -142,9 +144,9 @@ async def _check_supervision(seed: int, failures: list[str]) -> dict:
     )
     abandoned = await doomed.solve_batch(jobs)
     if not all(r.get("abandoned") for r in abandoned):
-        failures.append(f"max_retries=0 should abandon every job: {abandoned}")
+        smoke.fail(f"max_retries=0 should abandon every job: {abandoned}")
     if metrics0.counter("jobs_abandoned").value != len(jobs):
-        failures.append(
+        smoke.fail(
             f"jobs_abandoned={metrics0.counter('jobs_abandoned').value}, "
             f"expected {len(jobs)}"
         )
@@ -155,7 +157,7 @@ async def _check_supervision(seed: int, failures: list[str]) -> dict:
     }
 
 
-async def _check_degradation(seed: int, failures: list[str]) -> dict:
+async def _check_degradation(seed: int, smoke: Smoke) -> dict:
     """Leg 4: a hung exact solver must degrade, visibly, within the timeout."""
     from ..engine import register
     from ..engine.registry import _REGISTRY
@@ -175,69 +177,55 @@ async def _check_degradation(seed: int, failures: list[str]) -> dict:
         log_interval=0,
         faults="",
     )
-    service = SchedulingService(config)
-    await service.start()
     try:
-        rows = _make_tasksets(1, 5, seed)[0]
-        t0 = time.perf_counter()
-        status, payload = await _request_with_retry(
-            "127.0.0.1",
-            service.port,
-            "POST",
-            "/optimal",
-            {"tasks": rows, "m": 4, "solver": hang_name},
-        )
-        wall = time.perf_counter() - t0
-        if status != 200:
-            failures.append(f"hung solver answered {status}, not degraded 200")
-        if payload.get("degraded_from") != hang_name:
-            failures.append(f"degraded_from missing from response: {payload}")
-        if payload.get("solver") != "subinterval-der":
-            failures.append(f"degraded solve should use the fallback: {payload}")
-        if wall > 5.0:
-            failures.append(f"degradation took {wall:.1f}s — the hang leaked")
-        _, m = await _request_with_retry(
-            "127.0.0.1", service.port, "GET", "/metrics"
-        )
-        degraded_total = m["metrics"]["counters"].get("degraded_total", 0)
-        if degraded_total < 1:
-            failures.append("degraded_total counter did not record the fallback")
+        async with SchedulingService(config) as service:
+            rows = _make_tasksets(1, 5, seed)[0]
+            t0 = time.perf_counter()
+            status, payload = await _request_with_retry(
+                "127.0.0.1",
+                service.port,
+                "POST",
+                "/optimal",
+                {"tasks": rows, "m": 4, "solver": hang_name},
+            )
+            wall = time.perf_counter() - t0
+            if status != 200:
+                smoke.fail(f"hung solver answered {status}, not degraded 200")
+            if payload.get("degraded_from") != hang_name:
+                smoke.fail(f"degraded_from missing from response: {payload}")
+            if payload.get("solver") != "subinterval-der":
+                smoke.fail(f"degraded solve should use the fallback: {payload}")
+            if wall > 5.0:
+                smoke.fail(f"degradation took {wall:.1f}s — the hang leaked")
+            _, m = await _request_with_retry(
+                "127.0.0.1", service.port, "GET", "/metrics"
+            )
+            degraded_total = m["metrics"]["counters"].get("degraded_total", 0)
+            if degraded_total < 1:
+                smoke.fail("degraded_total counter did not record the fallback")
     finally:
-        await service.stop()
         _REGISTRY.pop(hang_name, None)
     return {"degraded_status": status, "degraded_wall_s": round(wall, 3)}
 
 
-async def chaos_smoke(
-    *,
-    n_requests: int = 150,
-    concurrency: int = 8,
-    workers: int = 2,
-    seed: int = 7,
-    p99_budget_ms: float = 5000.0,
-) -> dict:
-    """Run every chaos leg; returns the report dict (``failures`` key inside)."""
-    failures: list[str] = []
-    report: dict = {"seed": seed}
-
-    report["supervision"] = await _check_supervision(seed, failures)
+async def check(smoke: Smoke, seed: int = 7) -> None:
+    """Run every chaos leg at ``seed``."""
+    supervision = await _check_supervision(seed, smoke)
 
     config = ServiceConfig(
         port=0,
-        workers=workers,
+        workers=_WORKERS,
         cache_size=0,  # every request must dispatch, so kills actually land
         batch_window=0.002,
         log_interval=0,
         faults=SERVER_SPEC.format(seed=seed),
     )
-    service = SchedulingService(config)
-    await service.start()
-    try:
+    async with SchedulingService(config) as service:
         stats = await run_loadgen(
             "127.0.0.1",
             service.port,
-            n_requests=n_requests,
-            concurrency=concurrency,
+            n_requests=_REQUESTS,
+            concurrency=_CONCURRENCY,
             n_tasks=6,
             unique=16,
             include_schedule=False,
@@ -261,29 +249,27 @@ async def chaos_smoke(
         _, metrics_page = await _request_with_retry(
             "127.0.0.1", service.port, "GET", "/metrics"
         )
-    finally:
-        await service.stop()
 
     chaos = stats["chaos"]
     faults = metrics_page.get("faults") or {}
     pool = metrics_page["pool"]
 
     answered = sum(stats["statuses"].values()) + chaos["malformed_sent"]
-    lost = n_requests - answered - stats["errors"]
+    lost = _REQUESTS - answered - stats["errors"]
     if lost != 0:
-        failures.append(
+        smoke.fail(
             f"{lost} request(s) unaccounted for "
-            f"(answered={answered} errors={stats['errors']} of {n_requests})"
+            f"(answered={answered} errors={stats['errors']} of {_REQUESTS})"
         )
     if stats["errors"] > faults.get("drop", 0):
-        failures.append(
+        smoke.fail(
             f"client errors ({stats['errors']}) exceed injected drops "
             f"({faults.get('drop', 0)}) — something failed beyond the chaos"
         )
     if stats["statuses"].get("500", 0) or chaos["malformed_statuses"].get("500", 0):
-        failures.append(f"500 responses under chaos (must be clean 4xx/503): {stats}")
+        smoke.fail(f"500 responses under chaos (must be clean 4xx/503): {stats}")
     if chaos["malformed_rejected"] != chaos["malformed_sent"]:
-        failures.append(
+        smoke.fail(
             f"malformed payloads not all rejected with 400: "
             f"{chaos['malformed_statuses']}"
         )
@@ -293,88 +279,46 @@ async def chaos_smoke(
     # at-most-once contract — what must never happen is abandonment without
     # injected kills, or abandonment surfacing as anything but 503.
     if pool["jobs_abandoned"] > 0 and faults.get("kill", 0) == 0:
-        failures.append(
-            f"jobs_abandoned={pool['jobs_abandoned']} with no injected kills"
-        )
+        smoke.fail(f"jobs_abandoned={pool['jobs_abandoned']} with no injected kills")
     if stats["statuses"].get("503", 0) > pool["jobs_abandoned"]:
-        failures.append(
+        smoke.fail(
             f"more 503s ({stats['statuses'].get('503', 0)}) than abandoned "
             f"jobs ({pool['jobs_abandoned']})"
         )
     if faults.get("kill", 0) > 0 and pool["worker_restarts"] < 1:
-        failures.append("kills were injected but no worker restart happened")
+        smoke.fail("kills were injected but no worker restart happened")
     p99 = stats["latency_ms"]["p99"]
-    if p99 is None or p99 > p99_budget_ms:
-        failures.append(f"client p99 {p99} ms exceeds budget {p99_budget_ms} ms")
+    if p99 is None or p99 > _P99_BUDGET_MS:
+        smoke.fail(f"client p99 {p99} ms exceeds budget {_P99_BUDGET_MS} ms")
     if status != 200:
-        failures.append(f"equality probe answered {status}: {payload}")
+        smoke.fail(f"equality probe answered {status}: {payload}")
     else:
         expect = _reference_energy(fresh)
         if payload.get("energy") != expect:
-            failures.append(
+            smoke.fail(
                 f"energy through chaotic daemon {payload.get('energy')!r} != "
                 f"direct engine solve {expect!r}"
             )
 
-    report["loadgen"] = stats
-    report["faults_injected"] = faults
-    report["pool"] = pool
-    report["degradation"] = await _check_degradation(seed, failures)
-    report["failures"] = failures
-    return report
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service.chaos",
-        description="seeded chaos smoke for the scheduling daemon",
+    degradation = await _check_degradation(seed, smoke)
+    print(
+        f"chaos-smoke seed={seed}: "
+        f"{stats['requests']} requests, statuses {stats['statuses']}, "
+        f"errors {stats['errors']}, "
+        f"malformed {chaos['malformed_sent']} "
+        f"(400×{chaos['malformed_rejected']})"
     )
-    parser.add_argument("--requests", type=int, default=150)
-    parser.add_argument("--concurrency", type=int, default=8)
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--p99-budget-ms", type=float, default=5000.0)
-    parser.add_argument("--json", action="store_true", help="emit the full report")
-    args = parser.parse_args(argv)
-
-    report = asyncio.run(
-        chaos_smoke(
-            n_requests=args.requests,
-            concurrency=args.concurrency,
-            workers=args.workers,
-            seed=args.seed,
-            p99_budget_ms=args.p99_budget_ms,
-        )
+    print(
+        f"  faults injected: {faults}  "
+        f"pool: restarts {pool['worker_restarts']} "
+        f"retries {pool['job_retries']} "
+        f"abandoned {pool['jobs_abandoned']}"
     )
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        stats = report["loadgen"]
-        print(
-            f"chaos-smoke seed={report['seed']}: "
-            f"{stats['requests']} requests, statuses {stats['statuses']}, "
-            f"errors {stats['errors']}, "
-            f"malformed {stats['chaos']['malformed_sent']} "
-            f"(400×{stats['chaos']['malformed_rejected']})"
-        )
-        print(
-            f"  faults injected: {report['faults_injected']}  "
-            f"pool: restarts {report['pool']['worker_restarts']} "
-            f"retries {report['pool']['job_retries']} "
-            f"abandoned {report['pool']['jobs_abandoned']}"
-        )
-        print(
-            f"  p99 {stats['latency_ms']['p99']} ms; "
-            f"degradation {report['degradation']}; "
-            f"supervision {report['supervision']}"
-        )
-    if report["failures"]:
-        for failure in report["failures"]:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    print("chaos-smoke OK")
-    return 0
+    print(
+        f"  p99 {p99} ms; degradation {degradation}; "
+        f"supervision {supervision}"
+    )
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sys.exit(main("chaos-smoke", check))

@@ -121,6 +121,13 @@ class ShardRouter:
         await self.manager.stop()
         log.info("router shutdown complete: %s", self.metrics.summary_line())
 
+    async def __aenter__(self) -> ShardRouter:
+        await self.start()
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        await self.stop()
+
     # -- routing -------------------------------------------------------------------
 
     def _reply(self, status: int, payload, path: str, trace_id=None) -> tuple:

@@ -175,6 +175,13 @@ class SchedulingService:
             self._exporter = None
         log.info("shutdown complete: %s", self.metrics.summary_line())
 
+    async def __aenter__(self) -> SchedulingService:
+        await self.start()
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        await self.stop()
+
     async def _log_periodically(self) -> None:
         while True:
             await asyncio.sleep(self.config.log_interval)

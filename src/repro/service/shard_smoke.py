@@ -15,20 +15,24 @@ end:
 
 Run directly::
 
-    python -m repro.service.shard_smoke [--requests 90] [--seed 7]
+    python -m repro.service.shard_smoke [--seed 7]
 """
 
 from __future__ import annotations
 
-import argparse
-import asyncio
 import json
 import re
 import sys
 
+from ..obs.prom import parse_prometheus
+from ..smoke import Smoke, main
 from .config import ServiceConfig
 from .http11 import HttpClient, request_once
+from .loadgen import _make_tasksets
 from .router import ShardRouter
+
+#: requests per deployment: the schedule mix plus the three admit streams
+_REQUESTS = 90
 
 #: distinct admission platforms — different f_max caps hash to different
 #: ring positions, so a 3-shard run genuinely spreads sessions
@@ -52,24 +56,11 @@ def _make_stream(n: int, seed: int) -> list[list[float]]:
     ]
 
 
-def _make_tasksets(n: int, seed: int) -> list[list[list[float]]]:
-    import numpy as np
-
-    from ..workloads.generator import PaperWorkloadConfig, paper_workload
-
-    rng = np.random.default_rng(seed)
-    return [
-        [[t.release, t.deadline, t.work] for t in
-         paper_workload(rng, PaperWorkloadConfig(n_tasks=3))]
-        for _ in range(n)
-    ]
-
-
-async def _drive(port: int, n_requests: int, seed: int, failures: list[str]):
+async def _drive(port: int, seed: int, smoke: Smoke):
     """The seeded schedule+admit mix; returns (admit_log, peeks)."""
-    tasksets = _make_tasksets(8, seed)
+    tasksets = _make_tasksets(8, 3, seed)
     streams = [
-        _make_stream(max(n_requests // 6, 4), seed + i)
+        _make_stream(max(_REQUESTS // 6, 4), seed + i)
         for i in range(len(PLATFORMS))
     ]
     client = HttpClient("127.0.0.1", port)
@@ -82,9 +73,9 @@ async def _drive(port: int, n_requests: int, seed: int, failures: list[str]):
                 "POST", "/admit", {"reset": True, **platform}
             )
             if status != 200:
-                failures.append(f"admit reset answered {status}")
+                smoke.fail(f"admit reset answered {status}")
 
-        n_schedule = n_requests - sum(len(s) for s in streams)
+        n_schedule = _REQUESTS - sum(len(s) for s in streams)
         for k in range(max(n_schedule, 0)):
             path = "/v1/schedule" if k % 2 == 0 else "/schedule"
             status, body = await client.request(
@@ -93,13 +84,13 @@ async def _drive(port: int, n_requests: int, seed: int, failures: list[str]):
                  "include_schedule": False},
             )
             if status != 200:
-                failures.append(f"{path} #{k} answered {status}: {body}")
+                smoke.fail(f"{path} #{k} answered {status}: {body}")
                 continue
             if path.startswith("/v1"):
                 if "result" not in body or "meta" not in body:
-                    failures.append(f"{path} response missing the v1 envelope")
+                    smoke.fail(f"{path} response missing the v1 envelope")
                 elif body["meta"].get("shard") is None:
-                    failures.append(f"{path} meta.shard is null behind a router")
+                    smoke.fail(f"{path} meta.shard is null behind a router")
 
         # interleave the platform streams so shard-affinity is exercised
         # under mixed traffic, not one platform at a time
@@ -113,7 +104,7 @@ async def _drive(port: int, n_requests: int, seed: int, failures: list[str]):
                     {"task": streams[i][step], **platform},
                 )
                 if status != 200:
-                    failures.append(
+                    smoke.fail(
                         f"admit platform {i} event {step} answered {status}"
                     )
                     continue
@@ -125,7 +116,7 @@ async def _drive(port: int, n_requests: int, seed: int, failures: list[str]):
                 "POST", "/admit", {"peek": True, **platform}
             )
             if status != 200:
-                failures.append(f"peek answered {status}")
+                smoke.fail(f"peek answered {status}")
                 body = {}
             peeks.append(json.dumps(body, sort_keys=True))
     finally:
@@ -133,52 +124,44 @@ async def _drive(port: int, n_requests: int, seed: int, failures: list[str]):
     return admit_log, peeks
 
 
-def _check_prometheus(text: str, n_shards: int, failures: list[str]) -> None:
-    series = re.compile(
-        r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? ([^ ]+)$"
-    )
-    helps: dict[str, int] = {}
-    shard_labels = set()
-    for line in text.strip().splitlines():
-        if line.startswith("# HELP "):
-            fam = line.split()[2]
-            helps[fam] = helps.get(fam, 0) + 1
-        elif line.startswith("# TYPE "):
-            continue
-        elif not series.match(line):
-            failures.append(f"unparseable exposition line: {line!r}")
-            return
-        for m in re.finditer(r'shard="([^"]+)"', line):
-            shard_labels.add(m.group(1))
-    dupes = [f for f, c in helps.items() if c > 1]
-    if dupes:
-        failures.append(f"duplicate HELP headers (invalid exposition): {dupes}")
+def _check_prometheus(text: str, n_shards: int, smoke: Smoke) -> None:
+    try:
+        families = parse_prometheus(text)
+    except ValueError as exc:
+        smoke.fail(f"merged exposition does not parse: {exc}")
+        return
+    shard_labels = {
+        label
+        for family in families.values()
+        for series in family["samples"]
+        for label in re.findall(r'shard="([^"]+)"', series)
+    }
     expected = {str(i) for i in range(n_shards)} | {"router"}
-    if not expected <= shard_labels:
-        failures.append(
-            f"merged scrape missing shard labels: have {sorted(shard_labels)}, "
-            f"want at least {sorted(expected)}"
-        )
+    smoke.check(
+        expected <= shard_labels,
+        f"merged scrape parsed ({len(families)} families, shard labels "
+        f"{sorted(shard_labels)})",
+        f"merged scrape missing shard labels: have {sorted(shard_labels)}, "
+        f"want at least {sorted(expected)}",
+    )
 
 
-async def shard_smoke(n_requests: int = 90, seed: int = 7) -> list[str]:
-    failures: list[str] = []
+async def check(smoke: Smoke, seed: int = 7) -> None:
     config = ServiceConfig(
         port=0, workers=0, log_interval=0.0, batch_window=0.0
     )
 
-    router3 = ShardRouter(config, shards=3)
-    await router3.start()
-    try:
-        log3, peeks3 = await _drive(router3.port, n_requests, seed, failures)
+    async with ShardRouter(config, shards=3) as router3:
+        log3, peeks3 = await _drive(router3.port, seed, smoke)
 
-        status, _, body = await HttpClient(
-            "127.0.0.1", router3.port
-        ).request_full("GET", "/metrics", headers={"Accept": "text/plain"})
+        status, body = await request_once(
+            "127.0.0.1", router3.port, "GET", "/metrics",
+            headers={"Accept": "text/plain"},
+        )
         if status != 200:
-            failures.append(f"prometheus scrape answered {status}")
+            smoke.fail(f"prometheus scrape answered {status}")
         else:
-            _check_prometheus(body["text"], 3, failures)
+            _check_prometheus(body["text"], 3, smoke)
 
         status, page = await request_once(
             "127.0.0.1", router3.port, "GET", "/v1/metrics"
@@ -186,50 +169,26 @@ async def shard_smoke(n_requests: int = 90, seed: int = 7) -> list[str]:
         if status != 200 or set(page.get("result", {}).get("shards", {})) != {
             "0", "1", "2"
         }:
-            failures.append("merged JSON metrics missing per-shard pages")
-    finally:
-        await router3.stop()
+            smoke.fail("merged JSON metrics missing per-shard pages")
 
-    router1 = ShardRouter(config, shards=1)
-    await router1.start()
-    try:
-        log1, peeks1 = await _drive(router1.port, n_requests, seed, failures)
-    finally:
-        await router1.stop()
+    async with ShardRouter(config, shards=1) as router1:
+        log1, peeks1 = await _drive(router1.port, seed, smoke)
 
     for i in range(len(PLATFORMS)):
-        if log3[i] != log1[i]:
-            diverge = sum(a != b for a, b in zip(log3[i], log1[i]))
-            failures.append(
-                f"platform {i}: 3-shard admit stream diverged from 1-shard "
-                f"run ({diverge} differing events of {len(log3[i])})"
-            )
-    if peeks3 != peeks1:
-        failures.append(
-            "final plan snapshots (boundaries/x/energy) differ between "
-            "3-shard and 1-shard deployments"
+        diverge = sum(a != b for a, b in zip(log3[i], log1[i]))
+        smoke.check(
+            log3[i] == log1[i],
+            f"platform {i}: {len(log3[i])} admits bit-equal to the 1-shard run",
+            f"platform {i}: 3-shard admit stream diverged from 1-shard "
+            f"run ({diverge} differing events of {len(log3[i])})",
         )
-    return failures
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--requests", type=int, default=90)
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args(argv)
-
-    failures = asyncio.run(shard_smoke(args.requests, args.seed))
-    if failures:
-        print("shard-smoke FAILED:")
-        for f in failures:
-            print(f"  - {f}")
-        return 1
-    print(
-        "shard-smoke OK: 3-shard mix served with zero lost acks, merged "
-        "scrape parsed with shard labels, sessions bit-equal to 1-shard run"
+    smoke.check(
+        peeks3 == peeks1,
+        "final plan snapshots bit-equal to the 1-shard run",
+        "final plan snapshots (boundaries/x/energy) differ between "
+        "3-shard and 1-shard deployments",
     )
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("shard-smoke", check))

@@ -9,9 +9,9 @@ fast, hermetic, and safe to run anywhere — including CI.
 
 from __future__ import annotations
 
-import asyncio
 import sys
 
+from ..smoke import Smoke, main
 from .config import ServiceConfig
 from .http11 import request_once
 from .server import SchedulingService
@@ -19,69 +19,55 @@ from .server import SchedulingService
 _TASKS = [[0.0, 10.0, 8.0], [2.0, 18.0, 14.0], [4.0, 16.0, 8.0]]
 
 
-async def _check(service: SchedulingService) -> list[str]:
-    host, port = service.config.host, service.port
-    failures: list[str] = []
-
-    async def expect(method, path, payload, predicate, label):
-        status, body = await request_once(host, port, method, path, payload)
-        if status != 200:
-            failures.append(f"{label}: HTTP {status}: {body.get('error')}")
-        elif not predicate(body):
-            failures.append(f"{label}: unexpected body {body}")
-        else:
-            print(f"  ok  {method} {path}")
-
-    await expect(
-        "GET", "/healthz", None, lambda b: b.get("status") == "ok", "healthz"
-    )
-    await expect(
-        "POST",
-        "/schedule",
-        {"tasks": _TASKS, "m": 2, "static": 0.1, "method": "der"},
-        lambda b: b.get("energy", 0) > 0 and b.get("kind") == "S^F2",
-        "schedule",
-    )
-    await expect(
-        "POST",
-        "/admit",
-        {"task": {"release": 0.0, "deadline": 5.0, "work": 2.0}},
-        lambda b: b.get("accepted") is True,
-        "admit",
-    )
-    await expect(
-        "POST",
-        "/optimal",
-        {"tasks": _TASKS, "m": 2, "static": 0.1},
-        lambda b: b.get("energy", 0) > 0,
-        "optimal",
-    )
-    await expect(
-        "GET",
-        "/metrics",
-        None,
-        lambda b: b["metrics"]["counters"].get("requests_total:/schedule") == 1,
-        "metrics",
-    )
-    return failures
-
-
-async def _main() -> int:
+async def check(smoke: Smoke) -> None:
+    """Hit every endpoint of a fresh daemon once."""
     config = ServiceConfig(port=0, workers=0, log_interval=0, f_max=2.0)
-    service = SchedulingService(config)
-    await service.start()
-    print(f"serve-smoke: daemon on port {service.port}")
-    try:
-        failures = await _check(service)
-    finally:
-        await service.stop()
-    if failures:
-        for f in failures:
-            print(f"  FAIL {f}", file=sys.stderr)
-        return 1
-    print("serve-smoke OK")
-    return 0
+    async with SchedulingService(config) as service:
+        print(f"serve-smoke: daemon on port {service.port}")
+
+        async def expect(method, path, payload, predicate, label):
+            status, body = await request_once(
+                config.host, service.port, method, path, payload
+            )
+            if status != 200:
+                smoke.fail(f"{label}: HTTP {status}: {body.get('error')}")
+            elif not predicate(body):
+                smoke.fail(f"{label}: unexpected body {body}")
+            else:
+                smoke.ok(f"{method} {path}")
+
+        await expect(
+            "GET", "/healthz", None, lambda b: b.get("status") == "ok", "healthz"
+        )
+        await expect(
+            "POST",
+            "/schedule",
+            {"tasks": _TASKS, "m": 2, "static": 0.1, "method": "der"},
+            lambda b: b.get("energy", 0) > 0 and b.get("kind") == "S^F2",
+            "schedule",
+        )
+        await expect(
+            "POST",
+            "/admit",
+            {"task": {"release": 0.0, "deadline": 5.0, "work": 2.0}},
+            lambda b: b.get("accepted") is True,
+            "admit",
+        )
+        await expect(
+            "POST",
+            "/optimal",
+            {"tasks": _TASKS, "m": 2, "static": 0.1},
+            lambda b: b.get("energy", 0) > 0,
+            "optimal",
+        )
+        await expect(
+            "GET",
+            "/metrics",
+            None,
+            lambda b: b["metrics"]["counters"].get("requests_total:/schedule") == 1,
+            "metrics",
+        )
 
 
 if __name__ == "__main__":
-    sys.exit(asyncio.run(_main()))
+    sys.exit(main("serve-smoke", check))

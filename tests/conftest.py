@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 
 from repro.core import TaskSet
 from repro.power import PolynomialPower
+from repro.service import SchedulingService, ServiceConfig
 from repro.workloads import (
     intro_example,
     motivational_power,
@@ -65,3 +68,19 @@ def random_instance(
         rng, PaperWorkloadConfig(n_tasks=n, intensity_low=intensity_low)
     )
     return tasks, PolynomialPower(alpha=alpha, static=p0)
+
+
+def run_with_service(test_coro, config: ServiceConfig | None = None):
+    """Run ``test_coro(service)`` against a daemon on an ephemeral port.
+
+    The default daemon solves in a thread executor (``workers=0``) and logs
+    nothing periodically; the daemon stops gracefully afterwards.
+    """
+
+    async def runner():
+        async with SchedulingService(
+            config or ServiceConfig(port=0, workers=0, log_interval=0)
+        ) as service:
+            return await test_coro(service)
+
+    return asyncio.run(runner())

@@ -13,6 +13,7 @@ from repro.core import (
 )
 from repro.power import PolynomialPower
 from repro.workloads import SIX_TASK_EXPECTED
+from tests.oracles import scalar_plan
 
 
 @pytest.fixture
@@ -174,23 +175,18 @@ class TestAllocationPlan:
 
 
 class TestScalarReference:
-    """The *_scalar methods run the original loop and must agree exactly."""
-
-    def test_method_string_preserved(self, six_setup):
-        tl, ideal = six_setup
-        plan = build_allocation_plan(tl, 4, "der_scalar", ideal=ideal)
-        assert plan.method == "der_scalar"
+    """The per-subinterval oracle loop and the batched assembly agree."""
 
     def test_even_bitwise_equal(self, six_setup):
         tl, _ = six_setup
         vec = build_allocation_plan(tl, 4, "even")
-        ref = build_allocation_plan(tl, 4, "even_scalar")
+        ref = scalar_plan(tl, 4, "even")
         assert np.array_equal(vec.x, ref.x)
 
     def test_der_matches_on_paper_example(self, six_setup):
         tl, ideal = six_setup
         vec = build_allocation_plan(tl, 4, "der", ideal=ideal)
-        ref = build_allocation_plan(tl, 4, "der_scalar", ideal=ideal)
+        ref = scalar_plan(tl, 4, "der", ideal=ideal)
         np.testing.assert_allclose(vec.x, ref.x, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -202,13 +198,8 @@ class TestScalarReference:
         tl = Timeline(tasks)
         ideal = solve_ideal(tasks, power)
         vec = build_allocation_plan(tl, m, "der", ideal=ideal)
-        ref = build_allocation_plan(tl, m, "der_scalar", ideal=ideal)
+        ref = scalar_plan(tl, m, "der", ideal=ideal)
         np.testing.assert_allclose(vec.x, ref.x, rtol=1e-9, atol=1e-12)
-
-    def test_scalar_requires_ideal_too(self, six_setup):
-        tl, _ = six_setup
-        with pytest.raises(ValueError, match="ideal"):
-            build_allocation_plan(tl, 4, "der_scalar")
 
 
 class TestZeroWeightFallback:
@@ -235,15 +226,17 @@ class TestZeroWeightFallback:
 
     def test_plan_passes_check_both_paths(self):
         tl, ideal = self._all_zero_der_instance()
-        for method in ("der", "der_scalar"):
-            plan = build_allocation_plan(tl, 2, method, ideal=ideal)
+        for plan in (
+            build_allocation_plan(tl, 2, "der", ideal=ideal),
+            scalar_plan(tl, 2, "der", ideal=ideal),
+        ):
             plan.check()
             assert np.all(plan.available_times > 0)
 
     def test_vectorized_matches_scalar(self):
         tl, ideal = self._all_zero_der_instance()
         vec = build_allocation_plan(tl, 2, "der", ideal=ideal)
-        ref = build_allocation_plan(tl, 2, "der_scalar", ideal=ideal)
+        ref = scalar_plan(tl, 2, "der", ideal=ideal)
         np.testing.assert_allclose(vec.x, ref.x, rtol=1e-9, atol=1e-12)
 
     def test_refined_frequencies_stay_bounded(self):

@@ -13,6 +13,7 @@ from repro.core import (
 from repro.power import PolynomialPower
 from repro.sim import assert_valid
 from tests.conftest import random_instance
+from tests.oracles import batch_oracle, online_rebuild
 
 
 def _batch_plan(session):
@@ -66,7 +67,7 @@ class TestDeltas:
         session = ScheduleSession(3, static_power, method="der")
         for t in [(0, 10, 4), (2, 8, 5), (1, 12, 3), (4, 9, 2)]:
             session.add_task(Task(*t))
-        batch = session.batch_oracle().final("der")
+        batch = batch_oracle(session).final("der")
         assert session.energy == batch.energy
 
     def test_result_materializes_valid_schedule(self, static_power):
@@ -75,7 +76,7 @@ class TestDeltas:
             session.add_task(Task(*t))
         res = session.result()
         assert_valid(res.schedule, tol=1e-6)
-        batch = session.batch_oracle().final("der")
+        batch = batch_oracle(session).final("der")
         assert res.energy == batch.energy
         assert list(res.schedule) == list(batch.schedule)
 
@@ -84,7 +85,7 @@ class TestDeltas:
         for t in [(0, 10, 4), (2, 8, 5), (1, 12, 3), (3, 7, 1)]:
             session.add_task(Task(*t))
         segs = session.final_segments()
-        batch = session.batch_oracle().final("even")
+        batch = batch_oracle(session).final("even")
         assert segs == list(batch.schedule)
 
     def test_empty_after_removing_all(self, static_power):
@@ -172,12 +173,8 @@ class TestOnlineEdgeCases:
     """Edge cases the batch rebuild hid, each against the rebuild oracle."""
 
     def _both(self, tasks, m, power, method="der"):
-        on = OnlineSubintervalScheduler(
-            tasks, m, power, method=method, engine="session"
-        ).run()
-        oracle = OnlineSubintervalScheduler(
-            tasks, m, power, method=method, engine="rebuild"
-        ).run()
+        on = OnlineSubintervalScheduler(tasks, m, power, method=method).run()
+        oracle = online_rebuild(tasks, m, power, method=method)
         return on, oracle
 
     @pytest.mark.parametrize("method", ["even", "der"])
@@ -232,8 +229,3 @@ class TestOnlineResultCaching:
         # served from the cache, not re-integrated from the schedule
         assert vars(res)["energy"] == first
         assert res.energy == res.schedule.total_energy()
-
-    def test_bad_engine_rejected(self, static_power):
-        tasks = TaskSet.from_tuples([(0, 10, 4)])
-        with pytest.raises(ValueError, match="engine"):
-            OnlineSubintervalScheduler(tasks, 2, static_power, engine="warp")

@@ -8,6 +8,7 @@ from repro.optimal import solve_optimal
 from repro.power import PolynomialPower
 from repro.sim import assert_valid, execute_schedule
 from tests.conftest import random_instance
+from tests.oracles import online_rebuild
 
 
 class TestCorrectness:
@@ -48,6 +49,18 @@ class TestCorrectness:
         np.testing.assert_allclose(
             res.schedule.work_completed(), tasks.works, rtol=1e-6
         )
+
+    def test_microsecond_time_scale(self):
+        # at a 1e6 time scale, rounding dust of ~1e-9 left on a finished
+        # task must not keep it "known" past its deadline
+        power = PolynomialPower(alpha=3.0, static=0.1)
+        tasks = TaskSet.from_tuples(
+            [(4e6, 8e6, 2.52e6), (2e6, 5e6, 1.91e6), (5e6, 7e6, 0.61e6), (2e6, 5e6, 2.8e6)]
+        )
+        res = OnlineSubintervalScheduler(tasks, 1, power).run()
+        assert_valid(res.schedule, tol=1e-6)
+        oracle = online_rebuild(tasks, 1, power)
+        assert list(res.schedule) == list(oracle.schedule)
 
     def test_rejects_bad_m(self):
         tasks, power = random_instance(0, n=4)

@@ -8,6 +8,7 @@ from repro.power import PolynomialPower
 from repro.sim import assert_valid
 from repro.workloads import SIX_TASK_EXPECTED
 from tests.conftest import random_instance
+from tests.oracles import scalar_slots
 
 
 class TestPaperExample:
@@ -145,13 +146,17 @@ class TestSlotPacking:
         tasks, power = random_instance(seed, n=14)
         s = SubintervalScheduler(tasks, 3, power)
         plan = s.plan(method)
-        self._assert_same_slots(s._slots(plan), s._slots_scalar(plan))
+        self._assert_same_slots(
+            s._slots_flat(plan).to_slot_lists(), scalar_slots(s, plan)
+        )
 
     def test_paper_example_slots(self, six_tasks, cube_power):
         s = SubintervalScheduler(six_tasks, 4, cube_power)
         for method in ("even", "der"):
             plan = s.plan(method)
-            self._assert_same_slots(s._slots(plan), s._slots_scalar(plan))
+            self._assert_same_slots(
+                s._slots_flat(plan).to_slot_lists(), scalar_slots(s, plan)
+            )
 
 
 class TestFinalFromPlan:

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import pack_matrix, wrap_schedule
+from repro.core import pack_matrix_flat, wrap_schedule
+
+
+def _slot_lists(boundaries, x, m, counts):
+    """Per-subinterval Slot lists from the flat packing."""
+    return pack_matrix_flat(boundaries, x, m, counts).to_slot_lists()
 
 
 def _by_task(slots):
@@ -162,14 +167,14 @@ class TestPackMatrix:
         boundaries = np.array([0.0, 4.0])
         x = np.array([[3.0], [3.0], [3.0], [0.0]])
         counts = np.array([4])
-        got = pack_matrix(boundaries, x, 3, counts)
+        got = _slot_lists(boundaries, x, 3, counts)
         self._assert_equivalent(got, self._reference(boundaries, x, 3, counts))
 
     def test_light_columns_one_core_each(self):
         boundaries = np.array([0.0, 2.0, 5.0])
         x = np.array([[2.0, 3.0], [2.0, 0.0], [0.0, 3.0]])
         counts = np.array([2, 2])
-        got = pack_matrix(boundaries, x, 3, counts)
+        got = _slot_lists(boundaries, x, 3, counts)
         assert [(s.task_id, s.core) for s in got[0]] == [(0, 0), (1, 1)]
         assert [(s.task_id, s.core) for s in got[1]] == [(0, 0), (2, 1)]
         # full-length allocations snap exactly to the subinterval boundaries
@@ -189,7 +194,7 @@ class TestPackMatrix:
             x = rng.uniform(0.0, 1.0, size=(n, J)) * delta[None, :]
             scale = np.minimum(m * delta / np.maximum(x.sum(axis=0), 1e-12), 1.0)
             x *= scale[None, :]
-            got = pack_matrix(boundaries, x, m, counts)
+            got = _slot_lists(boundaries, x, m, counts)
             if n <= m:
                 # light: every active task on its own core for its full time
                 for j, slots in enumerate(got):
@@ -207,7 +212,7 @@ class TestPackMatrix:
         n, m = 6, 2
         x = rng.uniform(0, 1, size=(n, 3)) * delta[None, :]
         x *= np.minimum(m * delta / x.sum(axis=0), 1.0)[None, :]
-        got = pack_matrix(boundaries, x, m, np.full(3, n))
+        got = _slot_lists(boundaries, x, m, np.full(3, n))
         for j, slots in enumerate(got):
             per_task = {}
             for s in slots:
@@ -222,7 +227,7 @@ class TestPackMatrix:
         n, m = 9, 3
         x = rng.uniform(0, 1, size=(n, 7)) * delta[None, :]
         x *= np.minimum(m * delta / x.sum(axis=0), 1.0)[None, :]
-        for slots in pack_matrix(boundaries, x, m, np.full(7, n)):
+        for slots in _slot_lists(boundaries, x, m, np.full(7, n)):
             _assert_no_core_conflicts(slots)
             _assert_no_task_parallelism(slots)
             for s in slots:
@@ -232,31 +237,29 @@ class TestPackMatrix:
         boundaries = np.array([0.0, 2.0])
         x = np.array([[2.0], [2.0], [2.0]])
         with pytest.raises(ValueError, match="capacity"):
-            pack_matrix(boundaries, x, 2, np.array([3]))
+            _slot_lists(boundaries, x, 2, np.array([3]))
 
     def test_rejects_over_length_entry(self):
         boundaries = np.array([0.0, 2.0])
         x = np.array([[3.0], [0.0], [0.0]])
         with pytest.raises(ValueError, match="exceeds subinterval length"):
-            pack_matrix(boundaries, x, 2, np.array([3]))
+            _slot_lists(boundaries, x, 2, np.array([3]))
 
     def test_rejects_negative_entry(self):
         boundaries = np.array([0.0, 2.0])
         x = np.array([[-1.0]])
         with pytest.raises(ValueError, match="negative"):
-            pack_matrix(boundaries, x, 1, np.array([1]))
+            _slot_lists(boundaries, x, 1, np.array([1]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="one more entry"):
-            pack_matrix(np.array([0.0, 1.0]), np.zeros((2, 2)), 1, np.array([1, 1]))
+            _slot_lists(np.array([0.0, 1.0]), np.zeros((2, 2)), 1, np.array([1, 1]))
 
 
 class TestPackedSlots:
     """The flat-array hot path and its Slot-list view stay in lockstep."""
 
     def test_flat_matches_list_view(self):
-        from repro.core import pack_matrix_flat
-
         rng = np.random.default_rng(5)
         boundaries = np.cumsum(rng.uniform(0.5, 2.0, size=6))
         delta = boundaries[1:] - boundaries[:-1]
@@ -264,7 +267,7 @@ class TestPackedSlots:
         x = rng.uniform(0, 1, size=(n, 5)) * delta[None, :]
         x *= np.minimum(m * delta / x.sum(axis=0), 1.0)[None, :]
         ps = pack_matrix_flat(boundaries, x, m, np.full(5, n))
-        lists = pack_matrix(boundaries, x, m, np.full(5, n))
+        lists = _slot_lists(boundaries, x, m, np.full(5, n))
         k = 0
         for j, slots in enumerate(lists):
             for s in slots:
@@ -276,8 +279,6 @@ class TestPackedSlots:
         np.testing.assert_allclose(ps.durations, ps.end - ps.start)
 
     def test_sub_is_grouped_and_nondecreasing(self):
-        from repro.core import pack_matrix_flat
-
         boundaries = np.array([0.0, 2.0, 5.0])
         x = np.array([[1.5, 3.0], [2.0, 0.5], [0.5, 2.0]])
         ps = pack_matrix_flat(boundaries, x, 2, np.array([3, 3]))

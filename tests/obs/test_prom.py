@@ -1,40 +1,13 @@
 """Prometheus exposition rendering + the /metrics content negotiation."""
 
-import asyncio
+import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.prom import CONTENT_TYPE, render_prometheus
-from repro.service import SchedulingService, ServiceConfig
+from repro.obs.prom import CONTENT_TYPE, parse_prometheus, render_prometheus
 from repro.service.http11 import request_once
+from tests.conftest import run_with_service
 
 _TASKS = [[0.0, 10.0, 8.0], [2.0, 18.0, 14.0], [4.0, 16.0, 8.0]]
-
-
-def parse_exposition(text: str) -> dict:
-    """Tiny 0.0.4 parser: family → {type, samples: {series: value}}."""
-    families: dict[str, dict] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("# TYPE "):
-            _, _, fam, kind = line.split()
-            families[fam] = {"type": kind, "samples": {}}
-            continue
-        if line.startswith("#"):
-            assert line.startswith("# HELP "), line
-            continue
-        series, value_str = line.rsplit(" ", 1)
-        value = float(value_str)  # must parse — NaN included
-        name = series.split("{", 1)[0]
-        # longest family prefix wins (latency_ms vs latency_ms_window_len)
-        base = max(
-            (f for f in families if name == f or name.startswith(f)),
-            key=len,
-            default=None,
-        )
-        assert base is not None, f"sample {line!r} before its TYPE header"
-        families[base]["samples"][series] = value
-    return families
 
 
 def _loaded_registry() -> MetricsRegistry:
@@ -50,7 +23,7 @@ def _loaded_registry() -> MetricsRegistry:
 
 class TestRenderer:
     def test_colon_convention_becomes_labels(self):
-        fams = parse_exposition(render_prometheus(_loaded_registry().snapshot()))
+        fams = parse_prometheus(render_prometheus(_loaded_registry().snapshot()))
         assert fams["repro_requests_total"]["samples"][
             'repro_requests_total{path="/schedule"}'
         ] == 3
@@ -59,14 +32,14 @@ class TestRenderer:
         ] == 2
 
     def test_counters_get_total_suffix(self):
-        fams = parse_exposition(render_prometheus(_loaded_registry().snapshot()))
+        fams = parse_prometheus(render_prometheus(_loaded_registry().snapshot()))
         assert "repro_cache_hits_total" in fams
         for fam, data in fams.items():
             if data["type"] == "counter":
                 assert fam.endswith("_total")
 
     def test_histogram_summary_and_window_len(self):
-        fams = parse_exposition(render_prometheus(_loaded_registry().snapshot()))
+        fams = parse_prometheus(render_prometheus(_loaded_registry().snapshot()))
         fam = fams["repro_latency_ms"]
         assert fam["type"] == "summary"
         label = 'path="/schedule"'
@@ -86,7 +59,7 @@ class TestRenderer:
     def test_every_histogram_family_has_window_len(self):
         reg = _loaded_registry()
         reg.histogram("stage_ms:engine.solve").observe(1.5)
-        fams = parse_exposition(render_prometheus(reg.snapshot()))
+        fams = parse_prometheus(render_prometheus(reg.snapshot()))
         summaries = [f for f, d in fams.items() if d["type"] == "summary"]
         assert summaries
         for fam in summaries:
@@ -97,7 +70,7 @@ class TestRenderer:
             MetricsRegistry().snapshot(),
             extra_gauges={"uptime_seconds": 12.5, 'odd:/we"ird': 1},
         )
-        fams = parse_exposition(text)
+        fams = parse_prometheus(text)
         assert fams["repro_uptime_seconds"]["samples"][
             "repro_uptime_seconds"
         ] == 12.5
@@ -110,27 +83,45 @@ class TestRenderer:
         assert 'quantile="0.5"} NaN' in text
 
 
+class TestParser:
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            (
+                "# TYPE repro_x gauge\nrepro_x{shard=\"0\"} 1.2.3\n",
+                "non-float",
+            ),
+            ('repro_x{shard="0"} 1\n', "before its TYPE"),
+            (
+                "# HELP repro_x a\n# HELP repro_x b\n# TYPE repro_x gauge\nrepro_x 1\n",
+                "second HELP",
+            ),
+            (
+                "# TYPE repro_x gauge\n# TYPE repro_x counter\nrepro_x 1\n",
+                "second TYPE",
+            ),
+            ('# TYPE repro_x gauge\nrepro_x{shard="0" 1\n', "malformed sample"),
+        ],
+    )
+    def test_rejects_malformed_exposition(self, text, problem):
+        with pytest.raises(ValueError, match=problem):
+            parse_prometheus(text)
+
+
 class TestContentNegotiation:
     def _fetch(self, accept: str | None):
-        async def scenario():
-            service = SchedulingService(
-                ServiceConfig(port=0, workers=0, log_interval=0)
+        async def scenario(service):
+            await request_once(
+                "127.0.0.1", service.port, "POST", "/schedule",
+                {"tasks": _TASKS, "m": 2, "method": "der"},
             )
-            await service.start()
-            try:
-                await request_once(
-                    "127.0.0.1", service.port, "POST", "/schedule",
-                    {"tasks": _TASKS, "m": 2, "method": "der"},
-                )
-                headers = {"Accept": accept} if accept else None
-                return await request_once(
-                    "127.0.0.1", service.port, "GET", "/metrics",
-                    headers=headers,
-                )
-            finally:
-                await service.stop()
+            headers = {"Accept": accept} if accept else None
+            return await request_once(
+                "127.0.0.1", service.port, "GET", "/metrics",
+                headers=headers,
+            )
 
-        return asyncio.run(scenario())
+        return run_with_service(scenario)
 
     def test_json_remains_the_default(self):
         status, body = self._fetch(None)
@@ -146,7 +137,7 @@ class TestContentNegotiation:
         assert status == 200
         # the client only wraps non-JSON content types in {"text": ...},
         # so this also proves the Content-Type header changed
-        fams = parse_exposition(body["text"])
+        fams = parse_prometheus(body["text"])
         assert fams["repro_requests_total"]["samples"][
             'repro_requests_total{path="/schedule"}'
         ] >= 1

@@ -14,13 +14,18 @@ import time
 from repro.obs import context as obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import group_traces, load_spans
-from repro.service import SchedulingService, ServiceConfig
+from repro.service import ServiceConfig
 from repro.service.config import RetryPolicy
 from repro.service.faults import FaultInjector, FaultSpec
 from repro.service.http11 import request_once
 from repro.service.pool import SolveDispatcher
+from tests.conftest import run_with_service
 
 _TASKS = [[0.0, 10.0, 8.0], [2.0, 18.0, 14.0], [4.0, 16.0, 8.0]]
+
+
+def _config(**kwargs) -> ServiceConfig:
+    return ServiceConfig(port=0, workers=0, log_interval=0, **kwargs)
 
 
 def _carrier(tid: str = None) -> dict:
@@ -45,20 +50,6 @@ def _job(i: int = 0, **over) -> dict:
     }
 
 
-def _run_service(scenario, **config):
-    async def runner():
-        service = SchedulingService(
-            ServiceConfig(port=0, workers=0, log_interval=0, **config)
-        )
-        await service.start()
-        try:
-            return await scenario(service)
-        finally:
-            await service.stop()
-
-    return asyncio.run(runner())
-
-
 class TestServiceSpanTrees:
     def test_schedule_request_exports_complete_chain(self, tmp_path):
         path = tmp_path / "out.jsonl"
@@ -70,7 +61,7 @@ class TestServiceSpanTrees:
             )
             assert status == 200 and "_spans" not in body
 
-        _run_service(scenario, trace_path=str(path))
+        run_with_service(scenario, _config(trace_path=str(path)))
         traces = group_traces(load_spans(path))
         (tv,) = traces
         names = tv.names
@@ -103,7 +94,7 @@ class TestServiceSpanTrees:
                 headers={"x-trace-id": tid},
             )
 
-        _run_service(scenario, trace_path=str(path))
+        run_with_service(scenario, _config(trace_path=str(path)))
         spans = load_spans(path)
         assert spans and all(sp["trace_id"] == tid for sp in spans)
 
@@ -121,7 +112,7 @@ class TestServiceSpanTrees:
             assert status == 200 and body["cache_hit"] is True
             assert "_spans" not in body
 
-        _run_service(scenario, trace_path=str(path))
+        run_with_service(scenario, _config(trace_path=str(path)))
         traces = group_traces(load_spans(path))
         assert len(traces) == 2
         hit = [tv for tv in traces if tv.cache_hit()]
@@ -139,7 +130,7 @@ class TestServiceSpanTrees:
             )
             assert status == 200 and "_spans" not in body
 
-        _run_service(scenario, trace_path=str(path))
+        run_with_service(scenario, _config(trace_path=str(path)))
         (tv,) = group_traces(load_spans(path))
         assert {"service.request", "pool.solve", "engine.solve"} <= tv.names
         assert any(n.startswith("solver:") for n in tv.names)
@@ -158,7 +149,7 @@ class TestServiceSpanTrees:
             assert "stage_ms:service.request" in stage
             assert service._exporter is None
 
-        _run_service(scenario)
+        run_with_service(scenario, _config())
 
     def test_sampling_zero_exports_no_spans(self, tmp_path):
         path = tmp_path / "out.jsonl"
@@ -169,7 +160,7 @@ class TestServiceSpanTrees:
                 {"tasks": _TASKS, "m": 2, "method": "der"},
             )
 
-        _run_service(scenario, trace_path=str(path), trace_sample=0.0)
+        run_with_service(scenario, _config(trace_path=str(path), trace_sample=0.0))
         assert load_spans(path) == []
 
 
@@ -239,12 +230,14 @@ class TestCrashRetryPropagation:
             assert status == 200
             assert "error" not in body
 
-        _run_service(
+        run_with_service(
             scenario,
-            trace_path=str(path),
-            faults="kill=1.0,seed=3",
-            retry_max=1,
-            retry_backoff=0.001,
+            _config(
+                trace_path=str(path),
+                faults="kill=1.0,seed=3",
+                retry_max=1,
+                retry_backoff=0.001,
+            ),
         )
         (tv,) = group_traces(load_spans(path))
         attempts = tv.by_name("pool.attempt")

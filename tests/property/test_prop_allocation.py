@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 
 from repro.core import Timeline, build_allocation_plan, solve_ideal
+from tests.oracles import scalar_plan
 
 from .strategies import cores_strategy, power_strategy, tasks_strategy
 
@@ -66,7 +67,7 @@ def test_vectorized_matches_scalar_reference(tasks, m, power):
     ideal = solve_ideal(tasks, power)
     for method, kw in (("even", {}), ("der", {"ideal": ideal})):
         vec = build_allocation_plan(tl, m, method, **kw)
-        ref = build_allocation_plan(tl, m, method + "_scalar", **kw)
+        ref = scalar_plan(tl, m, method, **kw)
         np.testing.assert_allclose(vec.x, ref.x, rtol=1e-9, atol=1e-12)
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core import ScheduleSession, SubintervalScheduler, Task
 from repro.sim import assert_valid
+from tests.oracles import batch_oracle
 
 from .strategies import cores_strategy, power_strategy, tasks_strategy
 
@@ -86,7 +87,7 @@ def test_session_result_is_valid(tasks, m, power, method):
     session = ScheduleSession(m, power, method=method, tasks=tasks)
     res = session.result()
     assert_valid(res.schedule, tol=1e-6)
-    batch = session.batch_oracle().final(method)
+    batch = batch_oracle(session).final(method)
     assert res.energy == batch.energy
     assert list(res.schedule) == list(batch.schedule)
 

@@ -1,28 +1,15 @@
 """Session-backed admission: per-platform sessions, delta accounting, spans."""
 
-import asyncio
-
-from repro.service import SchedulingService, ServiceConfig
+from repro.service import ServiceConfig
 from repro.service.http11 import HttpClient, request_once
 from repro.service.loadgen import run_loadgen
+from tests.conftest import run_with_service
 
 _BASE = dict(port=0, workers=0, log_interval=0)
 
 
 def _config(**kwargs) -> ServiceConfig:
     return ServiceConfig(**{**_BASE, **kwargs})
-
-
-def _run(test_coro, config: ServiceConfig | None = None):
-    async def runner():
-        service = SchedulingService(config or _config())
-        await service.start()
-        try:
-            return await test_coro(service)
-        finally:
-            await service.stop()
-
-    return asyncio.run(runner())
 
 
 class TestPerPlatformSessions:
@@ -53,7 +40,7 @@ class TestPerPlatformSessions:
             finally:
                 await client.close()
 
-        _run(scenario, _config(m=4, f_max=1.0))
+        run_with_service(scenario, _config(m=4, f_max=1.0))
 
     def test_reset_targets_one_platform(self):
         async def scenario(service):
@@ -78,7 +65,7 @@ class TestPerPlatformSessions:
             finally:
                 await client.close()
 
-        _run(scenario)
+        run_with_service(scenario)
 
     def test_admit_reports_delta_accounting(self):
         async def scenario(service):
@@ -100,7 +87,7 @@ class TestPerPlatformSessions:
             finally:
                 await client.close()
 
-        _run(scenario)
+        run_with_service(scenario)
 
     def test_admit_emits_session_delta_spans(self):
         async def scenario(service):
@@ -112,7 +99,7 @@ class TestPerPlatformSessions:
             hist = snap["histograms"].get("stage_ms:session.delta")
             assert hist is not None and hist["count"] >= 1
 
-        _run(scenario)
+        run_with_service(scenario)
 
 
 class TestAdmitStreamLoadgen:
@@ -131,4 +118,4 @@ class TestAdmitStreamLoadgen:
             snap = service.metrics.snapshot()["counters"]
             assert snap["requests_total:/admit"] >= 20
 
-        _run(scenario)
+        run_with_service(scenario)

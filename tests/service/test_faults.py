@@ -15,7 +15,7 @@ import pytest
 from repro.engine import register
 from repro.engine.registry import _REGISTRY
 from repro.obs.metrics import MetricsRegistry
-from repro.service import SchedulingService, ServiceConfig
+from repro.service import ServiceConfig
 from repro.service.config import RetryPolicy
 from repro.service.faults import (
     MALFORMED_MENU,
@@ -25,6 +25,7 @@ from repro.service.faults import (
 )
 from repro.service.http11 import request_once
 from repro.service.pool import SolveDispatcher
+from tests.conftest import run_with_service
 
 _ROWS = [(0.0, 10.0, 6.0), (2.0, 14.0, 5.0), (4.0, 16.0, 7.0)]
 
@@ -260,18 +261,6 @@ def _config(**kwargs) -> ServiceConfig:
     return ServiceConfig(**{**_BASE, **kwargs})
 
 
-def _run(test_coro, config: ServiceConfig | None = None):
-    async def runner():
-        service = SchedulingService(config or _config())
-        await service.start()
-        try:
-            return await test_coro(service)
-        finally:
-            await service.stop()
-
-    return asyncio.run(runner())
-
-
 class TestServiceFaultPaths:
     def test_config_rejects_bad_fault_spec(self):
         with pytest.raises(ValueError, match="fault"):
@@ -286,7 +275,7 @@ class TestServiceFaultPaths:
                 assert status == 400, (status, payload)
                 assert "error" in body
 
-        _run(scenario)
+        run_with_service(scenario)
 
     def test_dropped_responses_surface_as_connection_errors(self):
         async def scenario(service):
@@ -305,7 +294,7 @@ class TestServiceFaultPaths:
                 service.metrics.counter("faults_dropped_responses").value >= 2
             )
 
-        _run(scenario, _config(faults="drop=1.0,seed=1"))
+        run_with_service(scenario, _config(faults="drop=1.0,seed=1"))
 
     def test_delayed_responses_still_answer_200(self):
         async def scenario(service):
@@ -322,7 +311,7 @@ class TestServiceFaultPaths:
             assert time.perf_counter() - t0 >= 0.03
             assert service.injector.counts["delay"] == 1
 
-        _run(scenario, _config(faults="delay=1.0:0.03,seed=1"))
+        run_with_service(scenario, _config(faults="delay=1.0:0.03,seed=1"))
 
     def test_metrics_endpoint_reports_fault_counts(self):
         async def scenario(service):
@@ -341,7 +330,7 @@ class TestServiceFaultPaths:
             assert faults["spec"] == "delay=1:0.001,seed=4"
             assert set(faults) >= {"kill", "delay", "drop", "malform"}
 
-        _run(scenario, _config(faults="delay=1.0:0.001,seed=4"))
+        run_with_service(scenario, _config(faults="delay=1.0:0.001,seed=4"))
 
     def test_unfaulted_service_reports_no_faults_section(self):
         async def scenario(service):
@@ -352,7 +341,7 @@ class TestServiceFaultPaths:
             assert body["faults"] is None
             assert service.injector is None
 
-        _run(scenario)
+        run_with_service(scenario)
 
 
 class TestServiceDegradation:
@@ -392,7 +381,7 @@ class TestServiceDegradation:
             assert status == 200
             assert metrics["metrics"]["counters"]["degraded_total"] >= 1
 
-        _run(
+        run_with_service(
             scenario,
             _config(solver_timeout=0.2, degrade_to="subinterval-der"),
         )
@@ -412,7 +401,7 @@ class TestServiceDegradation:
                 assert body.get("cache_hit") is not True
             assert service.cache.hits == 0
 
-        _run(
+        run_with_service(
             scenario,
             _config(solver_timeout=0.2, degrade_to="subinterval-der"),
         )

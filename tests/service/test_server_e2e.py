@@ -16,6 +16,7 @@ from repro.service import SchedulingService, ServiceConfig
 from repro.service.http11 import HttpClient, request_once
 from repro.service.loadgen import run_loadgen
 from repro.sim import validate_schedule
+from tests.conftest import run_with_service
 
 _TASKS = [[0.0, 10.0, 8.0], [2.0, 18.0, 14.0], [4.0, 16.0, 8.0]]
 _BASE = dict(port=0, workers=0, log_interval=0)
@@ -23,21 +24,6 @@ _BASE = dict(port=0, workers=0, log_interval=0)
 
 def _config(**kwargs) -> ServiceConfig:
     return ServiceConfig(**{**_BASE, **kwargs})
-
-
-def _run(test_coro, config: ServiceConfig | None = None, *, stop: bool = True):
-    """Boot a service, run ``test_coro(service)``, gracefully stop."""
-
-    async def runner():
-        service = SchedulingService(config or _config())
-        await service.start()
-        try:
-            return await test_coro(service)
-        finally:
-            if stop:
-                await service.stop()
-
-    return asyncio.run(runner())
 
 
 def _schedule_payload(tasks=_TASKS, **over):
@@ -67,7 +53,7 @@ class TestScheduleEndpoint:
                 schedule = schedule_from_json(json.dumps(body["schedule"]))
                 assert validate_schedule(schedule) == []
 
-        _run(scenario, _config(batch_window=0.01, batch_max=8))
+        run_with_service(scenario, _config(batch_window=0.01, batch_max=8))
 
     def test_permuted_task_order_is_a_cache_hit_without_pool_entry(self):
         """Warm hits (incl. permutations) never touch the solve executor."""
@@ -93,7 +79,7 @@ class TestScheduleEndpoint:
             assert service.dispatcher.dispatch_count == dispatches_after_cold
             assert service.cache.hits == 2
 
-        _run(scenario)
+        run_with_service(scenario)
 
     def test_online_method_reports_replans(self):
         async def scenario(service):
@@ -105,7 +91,7 @@ class TestScheduleEndpoint:
             assert body["kind"] == "online"
             assert body["replans"] >= 0
 
-        _run(scenario)
+        run_with_service(scenario)
 
     def test_include_schedule_false_is_lighter(self):
         async def scenario(service):
@@ -121,7 +107,7 @@ class TestScheduleEndpoint:
             )
             assert status == 200 and "schedule" in full
 
-        _run(scenario)
+        run_with_service(scenario)
 
     def test_malformed_requests_get_400(self):
         async def scenario(service):
@@ -137,7 +123,7 @@ class TestScheduleEndpoint:
                 assert status == 400
                 assert "error" in body
 
-        _run(scenario)
+        run_with_service(scenario)
 
     def test_process_pool_workers(self):
         """The real ProcessPoolExecutor path: pickled jobs, chunked batches."""
@@ -153,7 +139,7 @@ class TestScheduleEndpoint:
             assert [status for status, _ in results] == [200] * 4
             assert service.dispatcher.dispatch_count >= 1
 
-        _run(scenario, _config(workers=1, batch_window=0.02, batch_max=8,
+        run_with_service(scenario, _config(workers=1, batch_window=0.02, batch_max=8,
                                request_timeout=120.0))
 
 
@@ -187,7 +173,7 @@ class TestRobustness:
             )
             assert metrics["metrics"]["counters"]["shed_total"] == 4
 
-        _run(scenario, _config(max_inflight=2, batch_window=0.001, batch_max=1))
+        run_with_service(scenario, _config(max_inflight=2, batch_window=0.001, batch_max=1))
 
     def test_request_deadline_yields_504(self):
         async def scenario(service):
@@ -201,7 +187,7 @@ class TestRobustness:
             assert status == 504
             assert "deadline" in body["error"]
 
-        _run(scenario, _config(request_timeout=0.2, batch_window=0.001, batch_max=1))
+        run_with_service(scenario, _config(request_timeout=0.2, batch_window=0.001, batch_max=1))
 
     def test_graceful_shutdown_loses_zero_accepted_requests(self):
         """stop() during in-flight traffic: every accepted request answers 200."""
@@ -230,23 +216,14 @@ class TestRobustness:
             for _, body in results:
                 assert body["energy"] > 0
 
-        _run(scenario, _config(batch_window=0.03, batch_max=3), stop=False)
+        run_with_service(scenario, _config(batch_window=0.03, batch_max=3))
 
     def test_rejects_new_requests_while_closing(self):
-        async def scenario(service):
-            await service.stop()
-            # the listener is closed: new connections must fail
-            with pytest.raises((ConnectionError, OSError)):
-                await request_once(
-                    "127.0.0.1", service.port, "GET", "/healthz"
-                )
-
         # service.port raises after stop(); capture it before
         async def runner():
-            service = SchedulingService(_config())
-            await service.start()
-            port = service.port
-            await service.stop()
+            async with SchedulingService(_config()) as service:
+                port = service.port
+            # the listener is closed: new connections must fail
             with pytest.raises((ConnectionError, OSError)):
                 await request_once("127.0.0.1", port, "GET", "/healthz")
 
@@ -265,7 +242,7 @@ class TestRoutingAndMetrics:
             )
             assert status == 405
 
-        _run(scenario)
+        run_with_service(scenario)
 
     def test_invalid_json_body_400(self):
         async def scenario(service):
@@ -282,7 +259,7 @@ class TestRoutingAndMetrics:
             assert b"400" in line
             writer.close()
 
-        _run(scenario)
+        run_with_service(scenario)
 
     def test_bad_content_length_400_and_close(self):
         """A non-numeric or negative Content-Length is the client's error:
@@ -305,7 +282,7 @@ class TestRoutingAndMetrics:
                 assert b"\r\nConnection: close" in head
                 assert json.loads(body)["error"]["code"] == "bad_request"
 
-        _run(scenario)
+        run_with_service(scenario)
 
     def test_metrics_exposes_required_series(self):
         """Acceptance: request counts, shed, cache hit rate, percentiles."""
@@ -334,7 +311,7 @@ class TestRoutingAndMetrics:
             assert m["batcher"]["jobs"] == 1  # hits never reached the batcher
             assert m["uptime_s"] >= 0
 
-        _run(scenario)
+        run_with_service(scenario)
 
     def test_healthz(self):
         async def scenario(service):
@@ -345,7 +322,7 @@ class TestRoutingAndMetrics:
             assert body["status"] == "ok"
             assert "version" in body
 
-        _run(scenario)
+        run_with_service(scenario)
 
 
 class TestAdmitAndOptimal:
@@ -374,7 +351,7 @@ class TestAdmitAndOptimal:
             finally:
                 await client.close()
 
-        _run(scenario, _config(m=2, f_max=1.0))
+        run_with_service(scenario, _config(m=2, f_max=1.0))
 
     def test_optimal_not_above_heuristic(self):
         async def scenario(service):
@@ -390,7 +367,7 @@ class TestAdmitAndOptimal:
             assert opt["energy"] <= sched["energy"] * (1 + 1e-6)
             assert len(opt["frequencies"]) == len(_TASKS)
 
-        _run(scenario)
+        run_with_service(scenario)
 
 
 class TestLoadgen:
@@ -407,7 +384,7 @@ class TestLoadgen:
             # 5 unique task sets cycled 8x: the cache must be doing the work
             assert service.cache.hits >= 30
 
-        _run(scenario, _config(batch_window=0.002, batch_max=16))
+        run_with_service(scenario, _config(batch_window=0.002, batch_max=16))
 
     def test_loadgen_mixed_workload(self):
         async def scenario(service):
@@ -422,4 +399,4 @@ class TestLoadgen:
             assert snap["requests_total:/admit"] == 3
             assert snap["requests_total:/schedule"] == 6
 
-        _run(scenario)
+        run_with_service(scenario)

@@ -156,11 +156,9 @@ class TestRouterEndToEnd:
         streams = {i: _admit_stream(8, 11 + i) for i in range(len(platforms))}
 
         async def scenario():
-            router = ShardRouter(_config(), shards=2)
-            await router.start()
             sharded: dict[int, list[str]] = {0: [], 1: []}
             owner_shards: dict[int, set] = {0: set(), 1: set()}
-            try:
+            async with ShardRouter(_config(), shards=2) as router:
                 client = HttpClient("127.0.0.1", router.port)
                 await client.connect()
                 try:
@@ -214,14 +212,10 @@ class TestRouterEndToEnd:
                         )
                 finally:
                     await client.close()
-            finally:
-                await router.stop()
 
             # replay the identical streams against the bare engine
-            service = SchedulingService(_config())
-            await service.start()
             single: dict[int, list[str]] = {0: [], 1: []}
-            try:
+            async with SchedulingService(_config()) as service:
                 client = HttpClient("127.0.0.1", service.port)
                 await client.connect()
                 try:
@@ -248,8 +242,6 @@ class TestRouterEndToEnd:
                         )
                 finally:
                     await client.close()
-            finally:
-                await service.stop()
 
             # bit-equal: every per-event ack and the final plan snapshots,
             # despite the SIGKILL + replay in the sharded run
@@ -260,9 +252,7 @@ class TestRouterEndToEnd:
 
     def test_stateless_routes_balance_and_metrics_merge(self):
         async def scenario():
-            router = ShardRouter(_config(), shards=2)
-            await router.start()
-            try:
+            async with ShardRouter(_config(), shards=2) as router:
                 client = HttpClient("127.0.0.1", router.port)
                 await client.connect()
                 try:
@@ -307,8 +297,6 @@ class TestRouterEndToEnd:
                 assert [s["alive"] for s in body["result"]["shards"]] == [
                     True, True
                 ]
-            finally:
-                await router.stop()
 
         asyncio.run(scenario())
 
@@ -318,9 +306,7 @@ class TestRouterEndToEnd:
         stream = _admit_stream(6, 5)
 
         async def scenario():
-            router = ShardRouter(_config(), shards=1)
-            await router.start()
-            try:
+            async with ShardRouter(_config(), shards=1) as router:
                 admit = HttpClient("127.0.0.1", router.port)
                 schedule = HttpClient("127.0.0.1", router.port)
                 try:
@@ -352,8 +338,6 @@ class TestRouterEndToEnd:
                 counters = router.metrics.snapshot()["counters"]
                 assert counters["admit_replays_total"] == 5
                 assert counters["shard_respawns_total"] == 1
-            finally:
-                await router.stop()
 
         asyncio.run(scenario())
 

@@ -8,12 +8,9 @@ resolution is what makes every baseline and exact backend servable over
 ``POST /schedule`` with no endpoint-specific code.
 """
 
-import asyncio
-
 import pytest
 
 from repro.engine import solver_names
-from repro.service import SchedulingService, ServiceConfig
 from repro.service.http11 import request_once
 from repro.service.protocol import (
     OptimalRequest,
@@ -22,22 +19,9 @@ from repro.service.protocol import (
     optimal_solvers,
     schedule_methods,
 )
+from tests.conftest import run_with_service
 
 _TASKS = [[0.0, 10.0, 4.0], [2.0, 14.0, 5.0], [11.0, 20.0, 6.0]]
-
-
-def _run(test_coro):
-    async def runner():
-        service = SchedulingService(
-            ServiceConfig(port=0, workers=0, log_interval=0)
-        )
-        await service.start()
-        try:
-            return await test_coro(service)
-        finally:
-            await service.stop()
-
-    return asyncio.run(runner())
 
 
 class TestProtocolRejection:
@@ -90,7 +74,7 @@ class TestHttp400:
             # nothing reached the solver pool
             assert service.dispatcher.dispatch_count == 0
 
-        _run(scenario)
+        run_with_service(scenario)
 
     def test_unknown_optimal_solver_is_a_400(self):
         async def scenario(service):
@@ -102,7 +86,7 @@ class TestHttp400:
             assert "optimal:interior-point" in body["error"]
             assert service.dispatcher.dispatch_count == 0
 
-        _run(scenario)
+        run_with_service(scenario)
 
 
 class TestRegistryServable:
@@ -126,4 +110,4 @@ class TestRegistryServable:
                 assert body["energy"] > 0
                 assert "schedule" in body
 
-        _run(scenario)
+        run_with_service(scenario)

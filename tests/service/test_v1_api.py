@@ -20,8 +20,9 @@ import json
 
 import pytest
 
-from repro.service import SchedulingService, ServiceConfig
+from repro.service import ServiceConfig
 from repro.service.http11 import HttpClient, request_once
+from tests.conftest import run_with_service
 
 _TASKS = [[0.0, 10.0, 8.0], [2.0, 18.0, 14.0], [4.0, 16.0, 8.0]]
 # cache_size=0 so the v1/legacy replays of one request cannot diverge on
@@ -31,18 +32,6 @@ _BASE = dict(port=0, workers=0, log_interval=0, cache_size=0)
 
 def _config(**kwargs) -> ServiceConfig:
     return ServiceConfig(**{**_BASE, **kwargs})
-
-
-def _run(test_coro, config: ServiceConfig | None = None):
-    async def runner():
-        service = SchedulingService(config or _config())
-        await service.start()
-        try:
-            return await test_coro(service)
-        finally:
-            await service.stop()
-
-    return asyncio.run(runner())
 
 
 def _schedule_payload(**over):
@@ -74,7 +63,7 @@ class TestEnvelope:
             assert (json.dumps(vbody["result"], sort_keys=True)
                     == json.dumps(lbody, sort_keys=True))
 
-        _run(scenario)
+        run_with_service(scenario, _config())
 
     def test_v1_optimal_wraps_the_legacy_payload_shape(self):
         # /optimal carries warm-start state across solves (iterate-level
@@ -91,7 +80,7 @@ class TestEnvelope:
             assert result["solver"] == lbody["solver"] == "interior-point"
             assert result["energy"] == pytest.approx(lbody["energy"], rel=1e-8)
 
-        _run(scenario)
+        run_with_service(scenario, _config())
 
     def test_v1_admit_matches_legacy_after_reset(self):
         async def scenario(service):
@@ -107,7 +96,7 @@ class TestEnvelope:
             finally:
                 await client.close()
 
-        _run(scenario)
+        run_with_service(scenario, _config())
 
     def test_every_v1_response_carries_meta(self):
         async def scenario(service):
@@ -134,7 +123,7 @@ class TestEnvelope:
                     # meta names the canonical solver that actually ran
                     assert meta["solver"] == "subinterval-der"
 
-        _run(scenario)
+        run_with_service(scenario, _config())
 
 
 class TestDeprecationHeaders:
@@ -153,7 +142,7 @@ class TestDeprecationHeaders:
                 assert 'rel="successor-version"' in lheaders["link"]
                 assert "deprecation" not in vheaders
 
-        _run(scenario)
+        run_with_service(scenario, _config())
 
     def test_legacy_traffic_is_counted(self):
         async def scenario(service):
@@ -169,7 +158,7 @@ class TestDeprecationHeaders:
             counters = m["result"]["metrics"]["counters"]
             assert counters["legacy_requests_total"] == 1
 
-        _run(scenario)
+        run_with_service(scenario, _config())
 
 
 class TestUnifiedErrors:
@@ -192,7 +181,7 @@ class TestUnifiedErrors:
                 assert isinstance(err["message"], str) and err["message"]
                 assert body["meta"]["api_version"] == "v1"
 
-        _run(scenario)
+        run_with_service(scenario, _config())
 
     def test_legacy_errors_stay_flat_strings(self):
         async def scenario(service):
@@ -203,7 +192,7 @@ class TestUnifiedErrors:
             assert isinstance(body["error"], str)
             assert "meta" not in body
 
-        _run(scenario)
+        run_with_service(scenario, _config())
 
     def test_unknown_solver_400_points_at_discovery(self):
         async def scenario(service):
@@ -220,7 +209,7 @@ class TestUnifiedErrors:
             assert detail["discovery"] == "GET /v1/solvers"
             assert "subinterval-der" in detail["solvers"]
 
-        _run(scenario)
+        run_with_service(scenario, _config())
 
     def test_invalid_json_yields_unified_400(self):
         async def scenario(service):
@@ -240,7 +229,7 @@ class TestUnifiedErrors:
             assert body["error"]["code"] == "invalid_json"
             writer.close()
 
-        _run(scenario)
+        run_with_service(scenario, _config())
 
     def test_overload_shed_is_unified(self):
         async def scenario(service):
@@ -276,7 +265,7 @@ class TestUnifiedErrors:
                     assert isinstance(body["error"], str)
                     assert body["max_inflight"] == 1
 
-        _run(scenario, _config(max_inflight=1, batch_window=0.001,
+        run_with_service(scenario, _config(max_inflight=1, batch_window=0.001,
                                batch_max=1))
 
 
@@ -296,7 +285,7 @@ class TestSolverDiscovery:
                 assert set(entry) >= {"name", "aliases", "optimal_only",
                                       "session"}
 
-        _run(scenario)
+        run_with_service(scenario, _config())
 
     def test_degrade_targets_reflect_config(self):
         async def scenario(service):
@@ -307,7 +296,7 @@ class TestSolverDiscovery:
             assert (solvers["optimal:interior-point"].get("degrades_to")
                     == "subinterval-der")
 
-        _run(scenario, _config(solver_timeout=5.0,
+        run_with_service(scenario, _config(solver_timeout=5.0,
                                degrade_to="subinterval-der"))
 
     def test_no_degrade_without_timeout(self):
@@ -318,7 +307,7 @@ class TestSolverDiscovery:
             for entry in body["result"]["solvers"]:
                 assert entry["degrades_to"] is None
 
-        _run(scenario, _config(solver_timeout=0.0))
+        run_with_service(scenario, _config(solver_timeout=0.0))
 
 
 class TestLegacyCompatibility:
@@ -336,7 +325,7 @@ class TestLegacyCompatibility:
             assert "schedule" in body
             assert "result" not in body and "meta" not in body
 
-        _run(scenario)
+        run_with_service(scenario, _config())
 
     def test_shared_state_across_dialects(self):
         """/admit and /v1/admit are one session, not two."""
@@ -357,7 +346,7 @@ class TestLegacyCompatibility:
             finally:
                 await client.close()
 
-        _run(scenario)
+        run_with_service(scenario, _config())
 
 
 class TestAdmitPeek:
@@ -389,7 +378,7 @@ class TestAdmitPeek:
             finally:
                 await client.close()
 
-        _run(scenario)
+        run_with_service(scenario, _config())
 
     def test_peek_rejects_task(self):
         async def scenario(service):
@@ -400,7 +389,7 @@ class TestAdmitPeek:
             assert status == 400
             assert body["error"]["code"] == "bad_request"
 
-        _run(scenario)
+        run_with_service(scenario, _config())
 
 
 if __name__ == "__main__":
