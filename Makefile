@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint test perfbench-test bench bench-collect bench-smoke serve-smoke solvers-smoke chaos-smoke obs-smoke incremental-smoke shard-smoke
+.PHONY: check lint test test-dev perfbench-test bench bench-collect bench-smoke serve-smoke solvers-smoke chaos-smoke obs-smoke incremental-smoke shard-smoke
 
 check: lint test perfbench-test bench-collect solvers-smoke incremental-smoke serve-smoke chaos-smoke obs-smoke shard-smoke bench-smoke
 
@@ -17,6 +17,11 @@ lint:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# tier-1 under the development-mode runtime checks, with an unclosed
+# socket or file (ResourceWarning) failing the run
+test-dev:
+	$(PYTHON) -X dev -W error::ResourceWarning -m pytest -x -q
 
 # the end-to-end benchmark's own helper tests (percentiles, /proc CPU sums,
 # host-speed scaling); tier-1 testpaths stay `tests`

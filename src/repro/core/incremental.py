@@ -38,7 +38,6 @@ recomputed, and the total — the service surfaces these as the
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -177,15 +176,7 @@ class ScheduleSession:
             float(self._rel[row]), float(self._dls[row]), float(self._wrk[row])
         )
 
-    # -- delta tracing ---------------------------------------------------------
-
-    @contextmanager
-    def _traced(self, op: str):
-        if not obs.active():
-            yield None
-            return
-        with obs.span("session.delta", op=op) as sp:
-            yield sp
+    # -- delta accounting ------------------------------------------------------
 
     def _note(
         self, op: str, touched: int, t0: float, sp=None
@@ -261,7 +252,7 @@ class ScheduleSession:
         if not 0 <= row <= n:
             raise IndexError(f"insertion index {row} out of range 0..{n}")
         t0 = time.perf_counter()
-        with self._traced("add_task") as sp:
+        with obs.traced("session.delta", op="add_task") as sp:
             handle = self._next_handle
             self._next_handle += 1
             R, D, C = float(task.release), float(task.deadline), float(task.work)
@@ -360,7 +351,7 @@ class ScheduleSession:
         if row is None:
             raise KeyError(f"unknown task handle {handle}")
         t0 = time.perf_counter()
-        with self._traced(op) as sp:
+        with obs.traced("session.delta", op=op) as sp:
             if len(self._handles) == 1:
                 self._clear()
                 return self._note(op, 0, t0, sp)
@@ -463,7 +454,7 @@ class ScheduleSession:
                         "complete_task() finished tasks instead"
                     )
         t0 = time.perf_counter()
-        with self._traced("advance_to") as sp:
+        with obs.traced("session.delta", op="advance_to") as sp:
             changed = np.zeros(len(self._handles), dtype=bool)
             if works:
                 for h, w in works.items():

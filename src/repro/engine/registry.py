@@ -16,7 +16,6 @@ records the degradation on the :class:`SolveResult` (``degraded_from`` /
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import threading
 import time
@@ -238,12 +237,7 @@ def resolve(session: EngineSession, *, validate: bool = True) -> SolveResult:
     invariant check.  ``extras`` reports the session's delta accounting
     (``deltas_applied``, ``touched_subintervals``, ``total_subintervals``).
     """
-    traced = obs.active()
-    with (
-        obs.span("engine.resolve", solver=session.solver)
-        if traced
-        else contextlib.nullcontext()
-    ):
+    with obs.traced("engine.resolve", solver=session.solver):
         t0 = time.perf_counter()
         core = session.core
         res = core.result()
@@ -261,10 +255,7 @@ def resolve(session: EngineSession, *, validate: bool = True) -> SolveResult:
             },
         )
         if validate and result.schedule is not None:
-            if traced:
-                with obs.span("engine.validate"):
-                    result = _validated(result)
-            else:
+            with obs.traced("engine.validate"):
                 result = _validated(result)
     return result
 
@@ -306,26 +297,14 @@ def solve(
     fallback_canonical = (
         resolve_name(fallback) if fallback is not None else None
     )
-    # tracing is opt-in at the context level: untraced callers pay two
-    # contextvar reads here and nothing else
-    traced = obs.active()
 
     def run(solver_name: str, solver_fn: SolverFn, opts: Mapping, bound):
-        call = (
-            (lambda: _run_bounded(solver_fn, request, opts, bound))
-            if bound is not None
-            else (lambda: solver_fn(request, opts))
-        )
-        if not traced:
-            return call()
-        with obs.span(f"solver:{solver_name}", n_tasks=len(request.tasks)):
-            return call()
+        with obs.traced(f"solver:{solver_name}", n_tasks=len(request.tasks)):
+            if bound is None:
+                return solver_fn(request, opts)
+            return _run_bounded(solver_fn, request, opts, bound)
 
-    with (
-        obs.span("engine.solve", solver=canonical)
-        if traced
-        else contextlib.nullcontext()
-    ) as engine_sp:
+    with obs.traced("engine.solve", solver=canonical) as engine_sp:
         t0 = time.perf_counter()
         degraded_reason: str | None = None
         try:
@@ -360,9 +339,6 @@ def solve(
             wall = time.perf_counter() - t0
             result = replace(raw, solver=canonical, wall_time_s=wall)
         if validate and result.schedule is not None:
-            if traced:
-                with obs.span("engine.validate"):
-                    result = _validated(result)
-            else:
+            with obs.traced("engine.validate"):
                 result = _validated(result)
     return result

@@ -7,13 +7,12 @@ One stdlib-only observability layer the whole pipeline reports into:
   inside a worker ride the result dict home and are stitched back onto
   the request's trace, surviving worker crashes and retries);
 * :mod:`repro.obs.metrics` — the process-wide metrics core (counters,
-  gauges, ring-buffer histograms) the service and the profiler record
-  into;
+  gauges, ring-buffer histograms) the service records into;
 * :mod:`repro.obs.prom` — Prometheus text exposition rendering of a
   metrics snapshot (served by ``GET /metrics`` under content
   negotiation);
-* :mod:`repro.obs.profile` — lightweight wall/CPU profiling hooks and
-  the coherent ``repro solve --profile`` report;
+* :mod:`repro.obs.profile` — the ``repro solve --profile`` report
+  (kernel diagnostics, centering path, span timing tree);
 * :mod:`repro.obs.report` — the ``repro trace`` analyzer: per-stage
   latency breakdown, critical path, and cache-hit attribution over a
   JSONL span export;
@@ -21,9 +20,9 @@ One stdlib-only observability layer the whole pipeline reports into:
   including the tracing-overhead guard.
 
 Everything here is dependency-free and cheap enough to leave on by
-default: span creation is a couple of dict/dataclass allocations, and a
-span that no capture buffer or exporter is listening for is dropped at
-finish time.
+default: span creation is a couple of dict/dataclass allocations,
+:func:`traced` skips even those when nobody is listening, and a span that
+no capture buffer or exporter is listening for is dropped at finish time.
 """
 
 from .context import (
@@ -39,13 +38,14 @@ from .context import (
     manual_span,
     new_trace_id,
     span,
+    traced,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, percentile
-from .profile import profiled
 
 __all__ = [
     "Span",
     "span",
+    "traced",
     "active",
     "capture",
     "activate",
@@ -61,5 +61,4 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "percentile",
-    "profiled",
 ]

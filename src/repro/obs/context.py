@@ -11,9 +11,9 @@ tree and a process-pool boundary:
   ``asyncio`` tasks each see their own current span;
 * finished spans are appended to the innermost **capture buffer**
   (``with capture() as spans:``).  No buffer → the span is dropped, which
-  is what makes tracing cheap enough to leave on: library code can
-  create spans unconditionally and only pays for them when someone is
-  collecting;
+  is what makes tracing cheap enough to leave on: library code opens its
+  optional spans with :func:`traced`, which builds nothing unless someone
+  is collecting;
 * crossing a process boundary, :func:`inject` shrinks the current
   context to a plain-dict **carrier** (picklable, JSON-able) that rides
   the job dict; the worker re-enters the trace with :func:`activate`,
@@ -27,7 +27,8 @@ Span dicts (the serialized form) have the stable keys ``trace_id``,
 ``span_id``, ``parent_id``, ``name``, ``start`` (epoch seconds),
 ``dur_ms``, ``status`` and ``attrs``; ``attrs`` may carry an ``events``
 list of ``{"name": …, "t_ms": offset, …}`` point-in-time records (the
-interior-point solver logs one per centering step).
+interior-point solver mirrors each centering step as one ``ip.center``
+event).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from typing import Any, Iterable, Iterator
 __all__ = [
     "Span",
     "span",
+    "traced",
     "capture",
     "activate",
     "inject",
@@ -146,8 +148,8 @@ def current_span() -> Span | None:
 def active() -> bool:
     """True when spans created now would go somewhere (parent or buffer).
 
-    The guard hot library code uses to skip span construction entirely on
-    untraced paths — two contextvar reads, no allocation.
+    Two contextvar reads, no allocation — the test :func:`traced` makes
+    before building a span.
     """
     return _CURRENT.get() is not None or _BUFFER.get() is not None
 
@@ -197,6 +199,24 @@ def span(name: str, *, trace_id: str | None = None, **attrs: Any) -> Iterator[Sp
     finally:
         _CURRENT.reset(token)
         sp.finish()
+
+
+#: what :func:`traced` hands untraced callers (stateless, so shareable)
+_NOT_TRACED = contextlib.nullcontext()
+
+
+def traced(
+    name: str, **attrs: Any
+) -> contextlib.AbstractContextManager[Span | None]:
+    """:func:`span` when someone is listening, else a no-op yielding None.
+
+    The one guard library code wraps optional spans in: untraced callers
+    pay :func:`active`'s two contextvar reads and construct no span.
+    Callers that set attributes check the yielded span for ``None``.
+    """
+    if not active():
+        return _NOT_TRACED
+    return span(name, **attrs)
 
 
 @contextlib.contextmanager

@@ -1,67 +1,16 @@
-"""Lightweight profiling hooks and the ``repro solve --profile`` report.
-
-:func:`profiled` is the wall/CPU timer the solver kernels are wrapped in:
-a context manager that opens a span (so the measurement lands on the
-trace when one is active) and measures both wall time and process CPU
-time — the CPU/wall ratio is what separates "the solver is working" from
-"the solver is waiting" (GIL, page faults, a pool worker starved of a
-core).
+"""The ``repro solve --profile`` report.
 
 :func:`format_solve_profile` renders one coherent report from a
 :class:`~repro.engine.contract.SolveResult` plus the spans captured
-around the solve — KernelProfile diagnostics, per-centering interior
-point events, and the span timing tree all in one place, instead of the
-three ad-hoc printouts they used to be.
+around the solve: the kernel diagnostics the solver's
+:class:`~repro.optimal.interior_point.KernelProfile` put in ``extras``,
+the centering path from the ``ip.center`` events that mirror that
+profile's records on the trace, and the span timing tree.
 """
 
 from __future__ import annotations
 
-import contextlib
-import time
-from dataclasses import dataclass, field
-from typing import Any, Iterator
-
-from . import context as _ctx
-
-__all__ = ["profiled", "ProfiledTimer", "format_solve_profile", "span_tree_lines"]
-
-
-@dataclass
-class ProfiledTimer:
-    """Wall/CPU measurement of one ``profiled()`` block (filled on exit)."""
-
-    name: str
-    wall_s: float = 0.0
-    cpu_s: float = 0.0
-    span: _ctx.Span | None = field(default=None, repr=False)
-
-    @property
-    def cpu_fraction(self) -> float:
-        """CPU seconds per wall second (1.0 ≈ fully CPU-bound)."""
-        return self.cpu_s / self.wall_s if self.wall_s > 0 else 0.0
-
-
-@contextlib.contextmanager
-def profiled(name: str, **attrs: Any) -> Iterator[ProfiledTimer]:
-    """Time a block (wall + process CPU) and record it as a span.
-
-    The span carries ``cpu_ms`` and ``cpu_fraction`` attributes; the
-    yielded :class:`ProfiledTimer` exposes the same numbers to the caller
-    once the block exits.  Cheap enough for per-solve granularity; not
-    meant for per-iteration inner loops.
-    """
-    timer = ProfiledTimer(name=name)
-    t0_wall = time.perf_counter()
-    t0_cpu = time.process_time()
-    with _ctx.span(name, **attrs) as sp:
-        timer.span = sp
-        try:
-            yield timer
-        finally:
-            timer.wall_s = time.perf_counter() - t0_wall
-            timer.cpu_s = time.process_time() - t0_cpu
-            sp.set("cpu_ms", round(timer.cpu_s * 1e3, 4))
-            sp.set("cpu_fraction", round(timer.cpu_fraction, 4))
+__all__ = ["format_solve_profile", "span_tree_lines"]
 
 
 def span_tree_lines(spans: list[dict], indent: str = "  ") -> list[str]:
@@ -85,8 +34,6 @@ def span_tree_lines(spans: list[dict], indent: str = "  ") -> list[str]:
         for sp in by_parent.get(parent_key, ()):
             attrs = sp.get("attrs", {})
             extras = []
-            if "cpu_ms" in attrs:
-                extras.append(f"cpu {attrs['cpu_ms']:.2f} ms")
             if attrs.get("solver"):
                 extras.append(str(attrs["solver"]))
             if attrs.get("fused"):

@@ -15,8 +15,13 @@ from ..core.task import TaskSet
 from ..core.wrap_schedule import Slot, wrap_schedule
 from ..power.models import PolynomialPower
 from .convex import ConvexProblem, OptimalSolution
-from .interior_point import KERNELS, InteriorPointSolver, IPConfig, KernelProfile
-from .diagnostics import CenteringRecord, ConvergenceTrace, solve_with_trace
+from .interior_point import (
+    KERNELS,
+    CenteringRecord,
+    InteriorPointSolver,
+    IPConfig,
+    KernelProfile,
+)
 from .flow import DemandRealization, check_demand_feasibility, realize_demands
 from .kkt import (
     ActivityReport,
@@ -40,6 +45,7 @@ __all__ = [
     "InteriorPointSolver",
     "IPConfig",
     "KernelProfile",
+    "CenteringRecord",
     "KERNELS",
     "ProjectedGradientSolver",
     "PGConfig",
@@ -56,9 +62,6 @@ __all__ = [
     "ActivityReport",
     "MaxFlowNetwork",
     "FlowResult",
-    "CenteringRecord",
-    "ConvergenceTrace",
-    "solve_with_trace",
     "DemandRealization",
     "check_demand_feasibility",
     "realize_demands",

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..obs import context as obs_context
 from .convex import ConvexProblem, OptimalSolution
 from .projected_gradient import PGConfig, ProjectedGradientSolver
 
@@ -67,7 +68,13 @@ try:  # SciPy carries the banded/Cholesky/LU factorizations of the kernel
 except ImportError:  # pragma: no cover - scipy is present in CI
     _HAVE_SCIPY = False
 
-__all__ = ["InteriorPointSolver", "IPConfig", "KernelProfile", "KERNELS"]
+__all__ = [
+    "CenteringRecord",
+    "InteriorPointSolver",
+    "IPConfig",
+    "KernelProfile",
+    "KERNELS",
+]
 
 #: Selectable Newton kernels: ``auto`` picks by cost model, ``banded`` and
 #: ``schur`` force the structured paths, ``dense`` is the original oracle.
@@ -113,6 +120,24 @@ class IPConfig:
 
 
 @dataclass(frozen=True)
+class CenteringRecord:
+    """State after one centering step of the barrier method.
+
+    ``newton_iterations`` is cumulative across the path;
+    ``newton_steps`` is this centering step's own count, and
+    ``factor_time_s`` the cumulative wall time spent in the Newton
+    kernel's linear solves so far.
+    """
+
+    t: float
+    gap: float
+    objective: float
+    newton_iterations: int
+    newton_steps: int
+    factor_time_s: float
+
+
+@dataclass(frozen=True)
 class KernelProfile:
     """Per-solve diagnostics of the Newton kernel (``repro solve --profile``).
 
@@ -126,11 +151,10 @@ class KernelProfile:
     bandwidth:
         Half-bandwidth of the subinterval-side complement (structure
         property, reported even when the dense path runs).
-    newton_per_center:
-        Newton iterations spent in each centering step, in order.
-    factor_time_s:
-        Cumulative wall time inside the linear-system solve (assembly +
-        factorization + triangular solves) across all Newton iterations.
+    centers:
+        One :class:`CenteringRecord` per centering step, in order — the
+        solve's progress record, mirrored onto the trace as ``ip.center``
+        span events.
     warm_started:
         True when the solve started from a caller-provided iterate.
     t_start:
@@ -151,8 +175,7 @@ class KernelProfile:
     kernel: str
     reduced: str
     bandwidth: int
-    newton_per_center: tuple[int, ...]
-    factor_time_s: float
+    centers: tuple[CenteringRecord, ...]
     warm_started: bool
     t_start: float
     dense_fallbacks: int = 0
@@ -160,9 +183,23 @@ class KernelProfile:
     polish_iters: int = 0
 
     @property
+    def newton_per_center(self) -> tuple[int, ...]:
+        """Newton iterations spent in each centering step, in order."""
+        return tuple(r.newton_steps for r in self.centers)
+
+    @property
     def total_newton(self) -> int:
         """Total Newton iterations across the continuation path."""
         return int(sum(self.newton_per_center))
+
+    @property
+    def factor_time_s(self) -> float:
+        """Cumulative wall time inside the Newton linear-system solves.
+
+        Assembly, factorization and triangular solves, across all Newton
+        iterations of the path.
+        """
+        return self.centers[-1].factor_time_s if self.centers else 0.0
 
 
 class InteriorPointSolver:
@@ -201,8 +238,6 @@ class InteriorPointSolver:
         if kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
         self.kernel, self._reduced_side = self._resolve_kernel(kernel)
-        self._fallbacks = 0
-        self._factor_time = 0.0
 
     # -- kernel selection ---------------------------------------------------------
 
@@ -317,19 +352,20 @@ class InteriorPointSolver:
         vdx = np.bincount(p.var_sub, weights=dx, minlength=p.n_subs)
         return float(dx @ (dx / dinv) + a @ udx**2 + b @ vdx**2)
 
-    def _newton_step(self, x: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-        """Return ``(Δx, λ²)`` for the configured kernel (with auto fallback)."""
-        t0 = time.perf_counter()
+    def _newton_step(
+        self, x: np.ndarray, t: float
+    ) -> tuple[np.ndarray, float, bool]:
+        """Return ``(Δx, λ², fell_back)`` for the configured kernel.
+
+        ``fell_back`` is True when the structured factorization failed and
+        the dense oracle stepped in for this step.
+        """
+        if self.kernel == "dense":
+            return (*self._newton_step_dense(x, t), False)
         try:
-            if self.kernel == "dense":
-                return self._newton_step_dense(x, t)
-            try:
-                return self._newton_step_structured(x, t)
-            except np.linalg.LinAlgError:
-                self._fallbacks += 1
-                return self._newton_step_dense(x, t)
-        finally:
-            self._factor_time += time.perf_counter() - t0
+            return (*self._newton_step_structured(x, t), False)
+        except np.linalg.LinAlgError:
+            return (*self._newton_step_dense(x, t), True)
 
     def _finish_step(
         self,
@@ -541,26 +577,6 @@ class InteriorPointSolver:
 
     # -- main loop -----------------------------------------------------------------
 
-    def _on_center(
-        self, t: float, gap: float, obj: float, total_newton: int, steps: int
-    ) -> None:
-        """Hook invoked after every centering step (overridden by tracers).
-
-        The base implementation feeds the observability layer: when a
-        trace is active, each centering step becomes an ``ip.center``
-        event on the enclosing solver span (one contextvar read when
-        tracing is off).  Tracer subclasses that override this record
-        their own structures instead.
-        """
-        from ..obs import context as obs_context
-
-        obs_context.add_event(
-            "ip.center",
-            t=float(t),
-            gap=float(gap),
-            newton=int(steps),
-        )
-
     def solve(
         self, x0: np.ndarray | None = None, t0: float | None = None
     ) -> OptimalSolution:
@@ -572,6 +588,11 @@ class InteriorPointSolver:
         parameter, skipping the outer steps an adjacent solve already paid
         for.  Warm starts change the path, never the certificate: the loop
         still runs until the same relative duality-gap bound holds.
+
+        Each centering step is recorded once, as a :class:`CenteringRecord`
+        in the returned profile's ``centers``; when a trace is active the
+        same record also lands on the enclosing span as an ``ip.center``
+        event (one contextvar read when tracing is off).
         """
         p, cfg = self.p, self.cfg
         warm = x0 is not None
@@ -587,7 +608,9 @@ class InteriorPointSolver:
         t_start = t
         t_certified = float("nan")
         total_iters = 0
-        newton_per_center: list[int] = []
+        factor_time = 0.0
+        fallbacks = 0
+        centers: list[CenteringRecord] = []
         gap = self.n_ineq / t
         for _outer in range(cfg.max_outer):
             # center at this t
@@ -596,7 +619,10 @@ class InteriorPointSolver:
             stalls = 0
             lam2 = float("inf")
             for _ in range(cfg.max_newton):
-                dx, lam2 = self._newton_step(x, t)
+                t_step = time.perf_counter()
+                dx, lam2, fell_back = self._newton_step(x, t)
+                factor_time += time.perf_counter() - t_step
+                fallbacks += fell_back
                 total_iters += 1
                 steps += 1
                 if lam2 / 2.0 <= cfg.newton_tol:
@@ -643,12 +669,23 @@ class InteriorPointSolver:
                 else:
                     stalls = 0
 
-            newton_per_center.append(steps)
             if lam2 <= _FULL_STEP_LAM2:
                 t_certified = t
             gap = self.n_ineq / t
             obj = p.objective(x)
-            self._on_center(t, gap, obj, total_iters, steps)
+            rec = CenteringRecord(
+                float(t), float(gap), float(obj), total_iters, steps, factor_time
+            )
+            centers.append(rec)
+            obs_context.add_event(
+                "ip.center",
+                t=rec.t,
+                gap=rec.gap,
+                objective=rec.objective,
+                newton=rec.newton_steps,
+                newton_iterations=rec.newton_iterations,
+                factor_time_s=rec.factor_time_s,
+            )
             if gap <= cfg.gap_tol * max(abs(obj), 1.0):
                 break
             t *= cfg.mu
@@ -670,11 +707,10 @@ class InteriorPointSolver:
             kernel=self.kernel,
             reduced=self._reduced_side,
             bandwidth=p.sub_bandwidth if p.k else 0,
-            newton_per_center=tuple(newton_per_center),
-            factor_time_s=self._factor_time,
+            centers=tuple(centers),
             warm_started=warm,
             t_start=t_start,
-            dense_fallbacks=self._fallbacks,
+            dense_fallbacks=fallbacks,
             t_certified=t_certified,
             polish_iters=polish_iters,
         )

@@ -170,12 +170,7 @@ def _solve_one_schedule(job: dict) -> dict:
         if key in result.extras:
             out[key] = result.extras[key]
     if job.get("include_schedule", True) and result.schedule is not None:
-        if obs.active():
-            with obs.span("pool.pack"):
-                out["schedule"] = json.loads(
-                    schedule_to_json(result.schedule, indent=None)
-                )
-        else:
+        with obs.traced("pool.pack"):
             out["schedule"] = json.loads(
                 schedule_to_json(result.schedule, indent=None)
             )

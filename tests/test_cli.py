@@ -238,6 +238,44 @@ class TestSolveErrorPaths:
         assert "subinterval-der" in capsys.readouterr().out
 
 
+class TestSolveProfile:
+    @staticmethod
+    def _section(out: str, header: str) -> list[str]:
+        lines = out.splitlines()
+        start = lines.index(header) + 1
+        end = next(
+            (i for i in range(start, len(lines)) if not lines[i].startswith("  ")),
+            len(lines),
+        )
+        return lines[start:end]
+
+    def test_interior_point_profile(self, task_file, capsys):
+        argv = ["solve", str(task_file), "--solver", "optimal:interior-point"]
+        assert main(argv + ["--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "  kernel: " in out and "dense fallbacks: " in out
+        assert "span timings:" in out
+        (per_center,) = [
+            line for line in out.splitlines()
+            if line.startswith("  newton per centering step: ")
+        ]
+        newton = json.loads(per_center.split(": ", 1)[1])
+        header, *rows = self._section(out, "interior-point centering path:")
+        assert header.split() == ["step", "t_ms", "gap", "newton"]
+        assert [int(row.split()[0]) for row in rows] == list(
+            range(1, len(newton) + 1)
+        )
+        assert [int(row.split()[-1]) for row in rows] == newton
+
+    def test_heuristic_profile_has_no_kernel_section(self, task_file, capsys):
+        argv = ["solve", str(task_file), "--solver", "subinterval-der"]
+        assert main(argv + ["--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "no kernel diagnostics" in out
+        assert "centering path" not in out
+        assert "span timings:" in out
+
+
 class TestServeErrorPaths:
     def test_port_already_in_use_exits_1_with_hint(self, capsys):
         import socket
