@@ -4,9 +4,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint test test-dev perfbench-test bench bench-collect bench-smoke serve-smoke solvers-smoke chaos-smoke obs-smoke incremental-smoke shard-smoke
+.PHONY: check lint test test-dev perfbench-test bench bench-collect bench-smoke bench-service-smoke serve-smoke solvers-smoke chaos-smoke obs-smoke incremental-smoke shard-smoke
 
-check: lint test perfbench-test bench-collect solvers-smoke incremental-smoke serve-smoke chaos-smoke obs-smoke shard-smoke bench-smoke
+check: lint test perfbench-test bench-collect solvers-smoke incremental-smoke serve-smoke chaos-smoke obs-smoke shard-smoke bench-smoke bench-service-smoke
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -41,6 +41,13 @@ bench-collect:
 # energy disagreement beyond 1e-9)
 bench-smoke:
 	$(PYTHON) -m benchmarks.bench_optimal_kernel --smoke
+
+# one alternating pair of the 64-connection serving benchmark (default
+# batching vs batch_max=1, cold and warm cache, 1 pool worker): every
+# request must answer 200; no ratio gate.  The one gate that pushes a
+# backlog through a fault-free process pool
+bench-service-smoke:
+	$(PYTHON) -m benchmarks.bench_service_throughput --smoke
 
 # replay a seeded 500-event arrival/completion/advance stream through the
 # incremental session per policy; every delta plan must match a fresh batch

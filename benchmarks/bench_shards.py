@@ -93,7 +93,6 @@ def _config(**over) -> ServiceConfig:
             "port": 0,
             "workers": 0,
             "log_interval": 0.0,
-            "batch_window": 0.0,
             **over,
         }
     )

@@ -177,11 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="solver processes (0 = inline thread executor)",
     )
     v.add_argument(
-        "--batch-window-ms", type=float, default=5.0,
-        help="micro-batching window in milliseconds (0 disables batching)",
-    )
-    v.add_argument(
-        "--batch-max", type=int, default=32, help="flush batches at this size"
+        "--batch-max", type=int, default=32,
+        help="most requests queued behind busy workers sent as one dispatch",
     )
     v.add_argument(
         "--cache-size", type=int, default=256, help="plan-cache entries (0 = off)"
@@ -573,7 +570,6 @@ def _cmd_serve(args) -> int:
             host=args.host,
             port=args.port,
             workers=args.workers,
-            batch_window=args.batch_window_ms / 1e3,
             batch_max=args.batch_max,
             cache_size=args.cache_size,
             max_inflight=args.max_inflight,

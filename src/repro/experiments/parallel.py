@@ -29,21 +29,16 @@ def default_workers() -> int:
     return max((os.cpu_count() or 2) - 1, 1)
 
 
-def chunk_size(n_items: int, workers: int, chunks_per_worker: int = 4) -> int:
-    """Chunked-submission size: ``chunks_per_worker`` chunks per worker, at least 1.
+def chunk_size(n_items: int, workers: int) -> int:
+    """Chunked-submission size: four chunks per worker, at least 1.
 
-    Small batches (``n_items < workers * chunks_per_worker``) degrade to
-    per-item submission so every worker still gets work.  The default of
-    four chunks per worker balances load for long Monte-Carlo sweeps with
-    uneven item costs; latency-sensitive callers (the service micro-batcher)
-    pass ``chunks_per_worker=1`` to pay the per-submission IPC cost once
-    per worker instead.
+    Small batches (``n_items < 4 * workers``) degrade to per-item
+    submission so every worker still gets work.  Four chunks per worker
+    balance load for long Monte-Carlo sweeps with uneven item costs.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if chunks_per_worker < 1:
-        raise ValueError("chunks_per_worker must be >= 1")
-    return max(n_items // (workers * chunks_per_worker), 1)
+    return max(n_items // (workers * 4), 1)
 
 
 def _replication_worker(args: tuple) -> "NecSample":

@@ -13,10 +13,11 @@ stdlib-only (asyncio + the repro pipeline) and exposes an HTTP/JSON API:
 Architecture
 ------------
 
-* :mod:`~repro.service.batcher` coalesces concurrent ``/schedule``
-  requests inside a small time/size window and dispatches each batch as
-  one chunked submission to a ``ProcessPoolExecutor``, so the event loop
-  never blocks on a solve and per-request IPC overhead is amortized.
+* :mod:`~repro.service.batcher` dispatches a ``/schedule`` miss at once
+  while a pool worker is free, and coalesces only the misses that queue
+  behind busy workers into one submission to a ``ProcessPoolExecutor``,
+  so the event loop never blocks on a solve and, under backlog, IPC
+  overhead is amortized.
 * :mod:`~repro.service.cache` is an LRU keyed by a canonical hash of
   (task set, m, power, method); permuted task orders hit the same entry,
   and a warm hit never enters the process pool.

@@ -216,7 +216,6 @@ async def check(smoke: Smoke, seed: int = 7) -> None:
         port=0,
         workers=_WORKERS,
         cache_size=0,  # every request must dispatch, so kills actually land
-        batch_window=0.002,
         log_interval=0,
         faults=SERVER_SPEC.format(seed=seed),
     )
@@ -274,7 +273,7 @@ async def check(smoke: Smoke, seed: int = 7) -> None:
             f"{chaos['malformed_statuses']}"
         )
     # Abandonment must be *attributable*: on a shared pool, a kill aimed at
-    # one chunk's first attempt can break the pool under another chunk's
+    # one batch's first attempt can break the pool under another batch's
     # retry, which then abandons cleanly (503).  That is the designed
     # at-most-once contract — what must never happen is abandonment without
     # injected kills, or abandonment surfacing as anything but 503.

@@ -13,7 +13,7 @@ Robustness:
 * **deadlines** — each accepted request runs under ``request_timeout``
   and answers 504 if the solve can't make it,
 * **graceful shutdown** — :meth:`SchedulingService.stop` closes the
-  listener, drains every accepted request to a written response, flushes
+  listener, drains every accepted request to a written response, closes
   the batcher, and only then tears down the executor: an accepted
   request is never dropped.
 
@@ -85,7 +85,7 @@ class SchedulingService:
         )
         self.batcher = MicroBatcher(
             self.dispatcher.solve_batch,
-            window=self.config.batch_window,
+            slots=max(self.dispatcher.workers, 1),
             max_batch=self.config.batch_max,
         )
         self.admission = AdmissionController(
@@ -144,11 +144,10 @@ class SchedulingService:
                 self._log_periodically()
             )
         log.info(
-            "listening on %s:%d (workers=%d window=%gms batch_max=%d cache=%d)",
+            "listening on %s:%d (workers=%d batch_max=%d cache=%d)",
             self.config.host,
             self.port,
             self.config.workers,
-            self.config.batch_window * 1e3,
             self.config.batch_max,
             self.config.cache_size,
         )
@@ -550,13 +549,11 @@ class SchedulingService:
                 "jobs": self.batcher.jobs,
                 "largest_batch": self.batcher.largest_batch,
                 "pending": self.batcher.pending,
-                "window_s": self.batcher.window,
                 "max_batch": self.batcher.max_batch,
             },
             "pool": {
                 "workers": self.dispatcher.workers,
                 "dispatches": self.dispatcher.dispatch_count,
-                "batches": self.dispatcher.batch_count,
                 "worker_restarts": self.metrics.counter("worker_restarts").value,
                 "job_retries": self.metrics.counter("job_retries").value,
                 "jobs_abandoned": self.metrics.counter("jobs_abandoned").value,

@@ -147,9 +147,7 @@ def _check_prometheus(text: str, n_shards: int, smoke: Smoke) -> None:
 
 
 async def check(smoke: Smoke, seed: int = 7) -> None:
-    config = ServiceConfig(
-        port=0, workers=0, log_interval=0.0, batch_window=0.0
-    )
+    config = ServiceConfig(port=0, workers=0, log_interval=0.0)
 
     async with ShardRouter(config, shards=3) as router3:
         log3, peeks3 = await _drive(router3.port, seed, smoke)

@@ -2,10 +2,12 @@
 
 ``solve_schedule_batch`` fuses same-platform jobs into one vectorized
 pipeline pass over disjoint time windows.  These tests pin the contract:
-fusion changes throughput, never results — energies match solo solves,
-schedules stay valid, unfusable jobs (``online``, malformed, different
-platforms) are isolated, and a poisoned group degrades to per-job solving
-instead of failing the batch.
+fusion changes throughput, not the plan — energies match solo solves,
+segments hold the same (task, core) pairs with times within 1e-9 (the
+shift moves them by ~1e-12, so replies are not bit-identical), schedules
+stay valid, unfusable jobs (``online``, malformed, different platforms)
+are isolated, and a poisoned group degrades to per-job solving instead of
+failing the batch.
 """
 
 import json
@@ -60,6 +62,25 @@ class TestFusedEqualsSolo:
             want = _solve_one_schedule(job)
             assert got["kind"] == want["kind"]
             assert got["energy"] == pytest.approx(want["energy"], rel=1e-9)
+
+    def test_segments_match_solo_solves(self):
+        def segments(result):
+            return sorted(
+                result["schedule"]["segments"],
+                key=lambda seg: (seg["task"], seg["core"], seg["start"]),
+            )
+
+        for method, n_tasks, m in (("der", 3, 2), ("even", 20, 4)):
+            rng = np.random.default_rng(7)
+            jobs = [_job(rng, n_tasks=n_tasks, m=m, method=method) for _ in range(8)]
+            for job, got in zip(jobs, solve_schedule_batch(jobs)):
+                fused, solo = segments(got), segments(_solve_one_schedule(job))
+                assert [(s["task"], s["core"]) for s in fused] == [
+                    (s["task"], s["core"]) for s in solo
+                ]
+                for a, b in zip(fused, solo):
+                    assert a["start"] == pytest.approx(b["start"], abs=1e-9)
+                    assert a["end"] == pytest.approx(b["end"], abs=1e-9)
 
     def test_fused_schedules_validate(self):
         rng = np.random.default_rng(2)

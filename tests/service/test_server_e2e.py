@@ -53,7 +53,7 @@ class TestScheduleEndpoint:
                 schedule = schedule_from_json(json.dumps(body["schedule"]))
                 assert validate_schedule(schedule) == []
 
-        run_with_service(scenario, _config(batch_window=0.01, batch_max=8))
+        run_with_service(scenario, _config(batch_max=8))
 
     def test_permuted_task_order_is_a_cache_hit_without_pool_entry(self):
         """Warm hits (incl. permutations) never touch the solve executor."""
@@ -116,6 +116,7 @@ class TestScheduleEndpoint:
                 {"tasks": []},
                 {"tasks": _TASKS, "method": "magic"},
                 {"tasks": [[5.0, 1.0, 2.0]]},  # deadline < release
+                {"tasks": _TASKS, "alpha": float("nan")},  # sent as NaN
             ):
                 status, body = await request_once(
                     "127.0.0.1", service.port, "POST", "/schedule", payload
@@ -126,7 +127,7 @@ class TestScheduleEndpoint:
         run_with_service(scenario)
 
     def test_process_pool_workers(self):
-        """The real ProcessPoolExecutor path: pickled jobs, chunked batches."""
+        """The real ProcessPoolExecutor path: pickled jobs, coalesced batches."""
 
         async def scenario(service):
             results = await asyncio.gather(*(
@@ -139,7 +140,7 @@ class TestScheduleEndpoint:
             assert [status for status, _ in results] == [200] * 4
             assert service.dispatcher.dispatch_count >= 1
 
-        run_with_service(scenario, _config(workers=1, batch_window=0.02, batch_max=8,
+        run_with_service(scenario, _config(workers=1, batch_max=8,
                                request_timeout=120.0))
 
 
@@ -173,7 +174,7 @@ class TestRobustness:
             )
             assert metrics["metrics"]["counters"]["shed_total"] == 4
 
-        run_with_service(scenario, _config(max_inflight=2, batch_window=0.001, batch_max=1))
+        run_with_service(scenario, _config(max_inflight=2, batch_max=1))
 
     def test_request_deadline_yields_504(self):
         async def scenario(service):
@@ -187,7 +188,7 @@ class TestRobustness:
             assert status == 504
             assert "deadline" in body["error"]
 
-        run_with_service(scenario, _config(request_timeout=0.2, batch_window=0.001, batch_max=1))
+        run_with_service(scenario, _config(request_timeout=0.2, batch_max=1))
 
     def test_graceful_shutdown_loses_zero_accepted_requests(self):
         """stop() during in-flight traffic: every accepted request answers 200."""
@@ -216,7 +217,7 @@ class TestRobustness:
             for _, body in results:
                 assert body["energy"] > 0
 
-        run_with_service(scenario, _config(batch_window=0.03, batch_max=3))
+        run_with_service(scenario, _config(batch_max=3))
 
     def test_rejects_new_requests_while_closing(self):
         # service.port raises after stop(); capture it before
@@ -384,7 +385,7 @@ class TestLoadgen:
             # 5 unique task sets cycled 8x: the cache must be doing the work
             assert service.cache.hits >= 30
 
-        run_with_service(scenario, _config(batch_window=0.002, batch_max=16))
+        run_with_service(scenario, _config(batch_max=16))
 
     def test_loadgen_mixed_workload(self):
         async def scenario(service):

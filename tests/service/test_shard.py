@@ -26,7 +26,7 @@ from repro.service import SchedulingService, ServiceConfig, ShardRouter
 from repro.service.http11 import HttpClient, request_once
 from repro.service.shard import HashRing, platform_key, shard_config
 
-_BASE = dict(port=0, workers=0, log_interval=0, batch_window=0.0)
+_BASE = dict(port=0, workers=0, log_interval=0)
 
 
 def _config(**kwargs) -> ServiceConfig:

@@ -265,8 +265,7 @@ class TestUnifiedErrors:
                     assert isinstance(body["error"], str)
                     assert body["max_inflight"] == 1
 
-        run_with_service(scenario, _config(max_inflight=1, batch_window=0.001,
-                               batch_max=1))
+        run_with_service(scenario, _config(max_inflight=1, batch_max=1))
 
 
 class TestSolverDiscovery:

@@ -43,7 +43,6 @@ class TestParser:
         assert args.host == "127.0.0.1"
         assert args.port == 8421
         assert args.workers == 0
-        assert args.batch_window_ms == 5.0
         assert args.batch_max == 32
         assert args.cache_size == 256
         assert args.max_inflight == 256
@@ -52,13 +51,12 @@ class TestParser:
     def test_serve_flags_round_trip(self):
         args = build_parser().parse_args(
             ["serve", "--host", "0.0.0.0", "--port", "0", "--workers", "4",
-             "--batch-window-ms", "2.5", "--batch-max", "64",
+             "--batch-max", "64",
              "--cache-size", "1024", "--max-inflight", "100",
              "--timeout", "5", "-m", "8", "--alpha", "2.5", "--static", "0.1",
              "--f-max", "2.0", "--log-interval", "0"]
         )
         assert (args.host, args.port, args.workers) == ("0.0.0.0", 0, 4)
-        assert args.batch_window_ms == 2.5
         assert args.batch_max == 64
         assert args.cache_size == 1024
         assert args.max_inflight == 100
@@ -70,15 +68,15 @@ class TestParser:
     def test_serve_args_build_a_valid_config(self):
         from repro.service import ServiceConfig
 
-        args = build_parser().parse_args(["serve", "--batch-window-ms", "0"])
+        args = build_parser().parse_args(["serve", "--batch-max", "1"])
         config = ServiceConfig(
             host=args.host, port=args.port, workers=args.workers,
-            batch_window=args.batch_window_ms / 1e3, batch_max=args.batch_max,
+            batch_max=args.batch_max,
             cache_size=args.cache_size, max_inflight=args.max_inflight,
             request_timeout=args.timeout, m=args.cores, alpha=args.alpha,
             static=args.static, f_max=args.f_max, log_interval=args.log_interval,
         )
-        assert config.batch_window == 0.0
+        assert config.batch_max == 1
 
     def test_loadgen_defaults(self):
         args = build_parser().parse_args(["loadgen"])
