@@ -1,9 +1,9 @@
-"""Newton-kernel benchmark: structured vs dense, cold vs warm.
+"""Newton-kernel benchmark: structured vs dense, cold vs warm, paper scale.
 
 Times the interior-point solver's Newton kernels on two paper-style
-instance families and emits a machine-readable report
-(``results/bench/BENCH_optimal.json`` for the archived full run,
-``BENCH_optimal_smoke.json`` for the CI smoke run):
+instance families, plus the exact solves of Fig. 6's grid, and emits a
+machine-readable report (``results/bench/BENCH_optimal.json`` for the
+archived full run, ``BENCH_optimal_smoke.json`` for the CI smoke run):
 
 * ``long-horizon`` — tasks with localized windows spread over a long
   horizon, the common aperiodic shape.  The subinterval band is narrow
@@ -13,6 +13,13 @@ instance families and emits a machine-readable report
   windows overlap almost everything (bandwidth ≈ J).  The band is useless
   here; ``auto`` picks the Schur kernel, whose win is bounded by the
   dense/Schur factor-cost ratio.
+* ``paper-scale`` — Fig. 6's grid (n=20, m=4, α=3, every p₀ of
+  ``fig6.P0_VALUES``), each task set solved exactly as a replication of
+  the figure solves it (:func:`repro.experiments.runner.solve_exact`).
+  Reports per-solve wall time, Newton iterations and polish iterations per
+  grid point, ``reps`` task sets each; ``--smoke`` runs one grid point.
+  It runs with ``--instance all`` (the default).  No gate: this is the
+  baseline for cutting the cost of the polish.
 
 Two modes:
 
@@ -43,12 +50,10 @@ import numpy as np
 
 from repro.core import Timeline
 from repro.core.task import TaskSet
-from repro.optimal import (
-    ConvexProblem,
-    InteriorPointSolver,
-    solve_problem,
-    warm_start_cache,
-)
+from repro.engine import Platform, SolveRequest
+from repro.experiments.fig6 import P0_VALUES
+from repro.experiments.runner import PointSpec, solve_exact
+from repro.optimal import ConvexProblem, InteriorPointSolver, WarmStart, solve_problem
 from repro.power import PolynomialPower
 from repro.workloads import paper_workload
 from repro.workloads.generator import PaperWorkloadConfig
@@ -103,15 +108,15 @@ def _time_solve(problem: ConvexProblem, kernel: str, reps: int) -> dict:
 
 
 def _time_warm(problem: ConvexProblem) -> dict:
-    """Cold solve that deposits an iterate, then a warm solve from it."""
-    warm_start_cache().clear()
+    """Cold solve, then a warm solve from its final iterate."""
     t0 = time.perf_counter()
-    cold = solve_problem(problem, warm="auto")
+    cold = solve_problem(problem)
     cold_s = time.perf_counter() - t0
+    carried = WarmStart(x=cold.x, t=cold.profile.t_certified)
     t0 = time.perf_counter()
-    warm = solve_problem(problem, warm="auto")
+    warm = solve_problem(problem, warm=carried)
     warm_s = time.perf_counter() - t0
-    assert warm.profile.warm_started, "second solve should hit the cache"
+    assert warm.profile.warm_started, "the carried iterate should be usable"
     return {
         "cold_wall_s": cold_s,
         "warm_wall_s": warm_s,
@@ -185,6 +190,52 @@ def run_instance(
     return report, regressions
 
 
+def run_paper_scale(p0_values, reps: int, seed: int) -> dict:
+    """Fig. 6's exact solves: ``reps`` task sets per static-power value."""
+    print(f"paper-scale: n=20, m=4, alpha=3, {len(p0_values)} p0 x {reps}", flush=True)
+    points = []
+    for i, p0 in enumerate(p0_values):
+        spec = PointSpec(m=4, alpha=3.0, p0=float(p0), n_tasks=20)
+        platform = Platform(m=spec.m, power=spec.power())
+        wall, newton, polish = [], [], []
+        for child in np.random.SeedSequence([seed, i]).spawn(reps):
+            tasks = spec.draw(np.random.default_rng(child))
+            t0 = time.perf_counter()
+            res = solve_exact(SolveRequest(tasks=tasks, platform=platform))
+            wall.append(time.perf_counter() - t0)
+            newton.append(res.extras["newton_iterations"])
+            polish.append(res.extras["polish_iters"])
+        points.append({
+            "p0": float(p0),
+            "wall_s": wall,
+            "newton_iterations": newton,
+            "polish_iters": polish,
+        })
+        print(
+            f"  p0={p0:.2f}: median {np.median(wall):.3f}s, "
+            f"newton {np.mean(newton):.0f}, polish {np.mean(polish):.0f}",
+            flush=True,
+        )
+    walls = [w for pt in points for w in pt["wall_s"]]
+    return {
+        "n_tasks": 20,
+        "m": 4,
+        "alpha": 3.0,
+        "seed": seed,
+        "reps": reps,
+        "points": points,
+        "solves": len(walls),
+        "median_wall_s": float(np.median(walls)),
+        "total_wall_s": float(np.sum(walls)),
+        "mean_newton_iterations": float(
+            np.mean([n for pt in points for n in pt["newton_iterations"]])
+        ),
+        "mean_polish_iters": float(
+            np.mean([n for pt in points for n in pt["polish_iters"]])
+        ),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--smoke", action="store_true", help="small CI-gate run")
@@ -239,11 +290,18 @@ def main(argv: list[str] | None = None) -> int:
         instances[name] = rep
         regressions.extend(regs)
 
+    paper_scale = None
+    if args.instance == "all":
+        # the smoke run times one grid point, the middle of the p0 sweep
+        p0_values = (P0_VALUES[len(P0_VALUES) // 2],) if args.smoke else P0_VALUES
+        paper_scale = run_paper_scale(p0_values, reps, args.seed)
+
     report = {
         "benchmark": "optimal-newton-kernel",
         "mode": "smoke" if args.smoke else "full",
         "soft_factor": args.soft_factor,
         "instances": instances,
+        "paper_scale": paper_scale,
         "headline_speedup_auto_vs_dense": max(
             r["speedup_auto_vs_dense"] for r in instances.values()
         ),
@@ -256,6 +314,12 @@ def main(argv: list[str] | None = None) -> int:
             f"{name}: auto ({rep['kernels']['auto']['kernel']}) speedup vs "
             f"dense {rep['speedup_auto_vs_dense']:.2f}x; max rel energy err "
             f"{rep['max_rel_energy_err']:.2e}"
+        )
+    if paper_scale is not None:
+        print(
+            f"paper-scale: {paper_scale['solves']} solves, median "
+            f"{paper_scale['median_wall_s']:.3f}s, polish "
+            f"{paper_scale['mean_polish_iters']:.0f} iterations on average"
         )
     print(f"wrote {out}")
     if regressions and args.smoke:

@@ -53,14 +53,14 @@ def test_interior_point_kernel(benchmark, problem, reference_energy, kernel):
 
 
 def test_interior_point_warm(benchmark, problem, reference_energy):
-    """A warm re-solve from the cached iterate of an identical solve."""
-    from repro.optimal import solve_problem, warm_start_cache
+    """A warm re-solve from the final iterate of an identical solve."""
+    from repro.optimal import WarmStart, solve_problem
 
-    warm_start_cache().clear()
-    solve_problem(problem, warm="auto")  # deposit the iterate
+    cold = solve_problem(problem)
+    carried = WarmStart(x=cold.x, t=cold.profile.t_certified)
 
     sol = benchmark.pedantic(
-        lambda: solve_problem(problem, warm="auto"), rounds=3, iterations=1
+        lambda: solve_problem(problem, warm=carried), rounds=3, iterations=1
     )
     assert sol.profile.warm_started
     assert sol.energy == pytest.approx(reference_energy, rel=1e-9)

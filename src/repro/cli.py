@@ -34,7 +34,7 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 #: bare aliases of the exact solvers (``repro solve --solver interior-point``)
-#: that should receive the optimal-only ``--kernel``/``--cold`` options
+#: that should receive the optimal-only ``--kernel`` option
 _OPTIMAL_BACKENDS = {
     "interior-point", "projected-gradient", "slsqp", "trust-constr"
 }
@@ -102,14 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="Newton kernel for the optimal:* solvers (default: auto)",
     )
     sv.add_argument(
-        "--cold", action="store_true",
-        help="disable warm starts for the optimal:* solvers",
-    )
-    sv.add_argument(
         "--profile", action="store_true",
         help=(
             "print solver internals (optimal:*: kernel used, per-centering "
-            "Newton counts, factorization time, warm-start hit)"
+            "Newton counts, factorization time, polish iterations) and the "
+            "solve's span timings"
         ),
     )
 
@@ -390,8 +387,6 @@ def _cmd_solve(args) -> int:
     options = {}
     if args.solver.split(":", 1)[0] in {"optimal", *_OPTIMAL_BACKENDS}:
         options["kernel"] = args.kernel
-        if args.cold:
-            options["warm"] = False
     try:
         if args.profile:
             # capture the solve's span tree so the profile report can show
@@ -464,7 +459,7 @@ def _cmd_schedule(args) -> int:
     request = SolveRequest(
         tasks=tasks, platform=Platform(m=args.cores, power=_power(args))
     )
-    result = solve(args.method, request)  # legacy aliases resolve in-registry
+    result = solve(args.method, request)  # the registry maps legacy aliases
     schedule, energy = result.schedule, result.energy
     if args.method == "online":
         print(f"online schedule: {result.extras['replans']} re-plans")

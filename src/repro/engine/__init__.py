@@ -21,16 +21,13 @@ every frontend.  See ``docs/architecture.md`` for the layer diagram and
 the "how to add a solver" recipe.
 """
 
-from .contract import EngineSession, Platform, SolveRequest, SolveResult
+from .contract import Platform, SolveRequest, SolveResult
 from .registry import (
     SolverTimeoutError,
     UnknownSolverError,
     get_solver,
-    open_session,
     register,
-    resolve,
     resolve_name,
-    session_solver_names,
     solve,
     solver_catalog,
     solver_names,
@@ -43,7 +40,6 @@ __all__ = [
     "Platform",
     "SolveRequest",
     "SolveResult",
-    "EngineSession",
     "SolverTimeoutError",
     "UnknownSolverError",
     "get_solver",
@@ -52,7 +48,4 @@ __all__ = [
     "solve",
     "solver_names",
     "solver_catalog",
-    "open_session",
-    "resolve",
-    "session_solver_names",
 ]

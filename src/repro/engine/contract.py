@@ -18,13 +18,11 @@ from ..power.discrete import DiscreteFrequencySet
 from ..power.models import PolynomialPower
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from ..core.incremental import DeltaStats, ScheduleSession
     from ..core.schedule import Schedule
     from ..core.scheduler import SubintervalScheduler
-    from ..core.task import Task
     from ..sim.validate import Violation
 
-__all__ = ["EngineSession", "Platform", "SolveRequest", "SolveResult"]
+__all__ = ["Platform", "SolveRequest", "SolveResult"]
 
 _EMPTY: Mapping[str, Any] = MappingProxyType({})
 
@@ -117,65 +115,6 @@ class SolveRequest:
             )
             self._scratch["scheduler"] = sch
         return sch
-
-
-@dataclass(frozen=True)
-class EngineSession:
-    """A stateful solving session: the engine-level face of delta re-planning.
-
-    Produced by :func:`repro.engine.open_session` for solvers that support
-    incremental updates (today: the subinterval heuristics).  The session
-    wraps one :class:`~repro.core.incremental.ScheduleSession` pinned to a
-    platform and a canonical solver name; callers apply deltas
-    (:meth:`add_task`, :meth:`complete_task`, :meth:`remove_task`,
-    :meth:`advance_to`) and materialize a normalized
-    :class:`SolveResult` on demand via :func:`repro.engine.resolve` —
-    the incremental analogue of the stateless
-    ``solve(name, SolveRequest(...))`` round trip.
-    """
-
-    solver: str
-    platform: Platform
-    core: "ScheduleSession"
-
-    # -- delta pass-throughs (handle-based, see ScheduleSession) -----------------
-
-    def add_task(self, task: "Task", index: int | None = None) -> int:
-        """Admit one task into the live plan; returns its handle."""
-        return self.core.add_task(task, index=index)
-
-    def complete_task(self, handle: int) -> "DeltaStats":
-        """Retire a finished task from the live plan."""
-        return self.core.complete_task(handle)
-
-    def remove_task(self, handle: int) -> "DeltaStats":
-        """Withdraw a task from the live plan."""
-        return self.core.remove_task(handle)
-
-    def advance_to(self, t: float, works=None) -> "DeltaStats":
-        """Re-anchor released tasks to ``t`` (online re-planning step)."""
-        return self.core.advance_to(t, works=works)
-
-    # -- introspection -----------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.core)
-
-    @property
-    def energy(self) -> float:
-        """Energy of the current plan (0 when the session is empty)."""
-        return self.core.energy
-
-    @property
-    def last_delta(self) -> "DeltaStats | None":
-        return self.core.last_delta
-
-    @property
-    def touched_ratio(self) -> float:
-        """Lifetime fraction of subinterval allocations recomputed."""
-        if self.core.total_columns == 0:
-            return 1.0
-        return self.core.touched_columns / self.core.total_columns
 
 
 @dataclass(frozen=True)

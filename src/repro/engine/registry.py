@@ -23,7 +23,7 @@ from dataclasses import replace
 from typing import Callable, Mapping
 
 from ..obs import context as obs
-from .contract import EngineSession, Platform, SolveRequest, SolveResult
+from .contract import SolveRequest, SolveResult
 
 __all__ = [
     "UnknownSolverError",
@@ -34,9 +34,6 @@ __all__ = [
     "solver_names",
     "solver_catalog",
     "solve",
-    "session_solver_names",
-    "open_session",
-    "resolve",
 ]
 
 SolverFn = Callable[[SolveRequest, Mapping], SolveResult]
@@ -160,25 +157,17 @@ def _validated(result: SolveResult) -> SolveResult:
     )
 
 
-#: Canonical solver names that support incremental sessions, mapped to the
-#: :class:`~repro.core.incremental.ScheduleSession` allocation policy each
-#: drives.  Only the vectorized subinterval heuristics qualify today — the
-#: exact solvers and baselines have no delta structure to exploit.
-SESSION_SOLVERS: dict[str, str] = {
-    "subinterval-even": "even",
-    "subinterval-der": "der",
-}
-
-
-def session_solver_names() -> tuple[str, ...]:
-    """Canonical names of the solvers that support ``open_session``."""
-    return tuple(sorted(SESSION_SOLVERS))
+#: Canonical solver names whose allocation policy an incremental
+#: :class:`~repro.core.incremental.ScheduleSession` drives (the catalog's
+#: ``session`` field).  Only the vectorized subinterval heuristics qualify —
+#: the exact solvers and baselines have no delta structure to exploit.
+SESSION_SOLVERS = frozenset({"subinterval-even", "subinterval-der"})
 
 
 def solver_catalog() -> tuple[dict, ...]:
     """Machine-readable registry listing (the ``GET /v1/solvers`` payload).
 
-    One entry per canonical solver name: the legacy aliases that resolve
+    One entry per canonical solver name: the legacy aliases that map
     to it, whether it is an exact ``optimal:*`` backend, and whether it
     supports incremental sessions.  Clients should consume this instead of
     hard-coding solver menus.
@@ -195,69 +184,6 @@ def solver_catalog() -> tuple[dict, ...]:
         }
         for name in solver_names()
     )
-
-
-def open_session(
-    name: str,
-    platform: Platform | None = None,
-    tasks=None,
-) -> EngineSession:
-    """Open a stateful solving session for a session-capable solver.
-
-    The incremental counterpart of :func:`solve`: instead of handing over a
-    complete :class:`SolveRequest`, the caller opens a session on a
-    platform, applies task deltas, and materializes a normalized
-    :class:`SolveResult` on demand with :func:`resolve`.  Aliases
-    (``der``/``even``) resolve exactly as they do for :func:`solve`;
-    solvers without delta structure raise ``ValueError``.
-    """
-    from ..core.incremental import ScheduleSession
-
-    canonical = resolve_name(name)
-    method = SESSION_SOLVERS.get(canonical)
-    if method is None:
-        raise ValueError(
-            f"solver {canonical!r} does not support incremental sessions; "
-            f"session-capable solvers: {', '.join(session_solver_names())}"
-        )
-    if platform is None:
-        platform = Platform()
-    core = ScheduleSession(
-        platform.m, platform.power, method=method, tasks=tasks
-    )
-    return EngineSession(solver=canonical, platform=platform, core=core)
-
-
-def resolve(session: EngineSession, *, validate: bool = True) -> SolveResult:
-    """Materialize the session's current plan as a normalized result.
-
-    Mirrors :func:`solve`'s normalization: the result carries the session's
-    canonical solver name, the paper-style ``kind`` (``S^F1``/``S^F2``),
-    the analytic energy, and — with ``validate=True`` — the shared §III-C
-    invariant check.  ``extras`` reports the session's delta accounting
-    (``deltas_applied``, ``touched_subintervals``, ``total_subintervals``).
-    """
-    with obs.traced("engine.resolve", solver=session.solver):
-        t0 = time.perf_counter()
-        core = session.core
-        res = core.result()
-        result = SolveResult(
-            solver=session.solver,
-            kind=f"S^{res.kind}",
-            energy=res.energy,
-            schedule=res.schedule,
-            wall_time_s=time.perf_counter() - t0,
-            extras={
-                "frequencies": res.frequencies,
-                "deltas_applied": core.deltas_applied,
-                "touched_subintervals": core.touched_columns,
-                "total_subintervals": core.total_columns,
-            },
-        )
-        if validate and result.schedule is not None:
-            with obs.traced("engine.validate"):
-                result = _validated(result)
-    return result
 
 
 def solve(

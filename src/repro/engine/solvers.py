@@ -126,11 +126,8 @@ def _solve_practical(req: SolveRequest, options: Mapping) -> SolveResult:
 
 
 def _optimal(req: SolveRequest, options: Mapping, backend: str) -> SolveResult:
-    import numpy as np
-
     from ..core.intervals import Timeline
     from ..optimal import ConvexProblem, optimal_schedule, solve_problem
-    from ..optimal.warm import WarmStart
 
     # the timeline depends only on the task set — share it across every
     # solver invoked on this request (and with the subinterval pipeline's
@@ -153,23 +150,13 @@ def _optimal(req: SolveRequest, options: Mapping, backend: str) -> SolveResult:
     kwargs = {}
     if options.get("config") is not None:
         kwargs["config"] = options["config"]
-    # warm-start source: a prior interior-point solve on this same request
-    # (scratch) beats the process-wide signature-keyed cache ("auto");
-    # warm=False forces the bit-stable cold path
-    warm = options.get("warm", "auto")
-    if warm in (True, "auto") and req._scratch.get("ip_warm") is not None:
-        warm = req._scratch["ip_warm"]
     sol = solve_problem(
         problem,
         solver=backend,
         kernel=options.get("kernel", "auto"),
-        warm=warm,
+        warm=options.get("warm"),
         **kwargs,
     )
-    if sol.profile is not None and np.isfinite(sol.profile.t_certified):
-        req._scratch["ip_warm"] = WarmStart(
-            x=sol.x, t=sol.profile.t_certified
-        )
     schedule = None
     if options.get("materialize", True):
         schedule = optimal_schedule(sol)

@@ -25,11 +25,18 @@ import numpy as np
 from ..analysis.metrics import SERIES, NecAggregate, NecSample, aggregate
 from ..analysis.tables import format_csv, format_series_block
 from ..core.task import TaskSet
-from ..engine import Platform, SolveRequest, solve
+from ..engine import Platform, SolveRequest, SolveResult, solve
 from ..power.models import PolynomialPower
 from ..workloads.generator import PaperWorkloadConfig, paper_workload
 
-__all__ = ["PointSpec", "run_replication", "run_point", "SweepResult", "sweep"]
+__all__ = [
+    "PointSpec",
+    "solve_exact",
+    "run_replication",
+    "run_point",
+    "SweepResult",
+    "sweep",
+]
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,21 @@ class PointSpec:
         return paper_workload(rng, self.workload_config())
 
 
+def solve_exact(req: SolveRequest) -> SolveResult:
+    """A replication's exact optimum ``E^(O)``, without a schedule.
+
+    The barrier is seeded from a cheap projected-gradient pass, which
+    starts the continuation several μ-steps up the path.
+    """
+    return solve(
+        "optimal:interior-point",
+        req,
+        validate=False,
+        materialize=False,
+        warm="pg",
+    )
+
+
 def evaluate_taskset(
     tasks: TaskSet, m: int, power: PolynomialPower
 ) -> NecSample:
@@ -73,16 +95,7 @@ def evaluate_taskset(
     the registry routes to the same code.
     """
     req = SolveRequest(tasks=tasks, platform=Platform(m=m, power=power))
-    # every replication draws a fresh task set, so the signature-keyed warm
-    # cache can never hit; seed the barrier from a cheap projected-gradient
-    # pass instead, which starts the continuation several μ-steps up the path
-    opt = solve(
-        "optimal:interior-point",
-        req,
-        validate=False,
-        materialize=False,
-        warm="pg",
-    )
+    opt = solve_exact(req)
     values = {
         "Idl": req.scheduler().ideal_energy / opt.energy,
         "I1": solve("subinterval-even", req, validate=False,

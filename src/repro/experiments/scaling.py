@@ -16,7 +16,7 @@ import numpy as np
 
 from ..analysis.tables import format_csv, format_table
 from ..core.scheduler import SubintervalScheduler
-from ..optimal import solve_optimal
+from ..optimal import WarmStart, solve_optimal
 from ..power.models import PolynomialPower
 from ..workloads.generator import PaperWorkloadConfig, paper_workload
 
@@ -115,7 +115,8 @@ class KernelScalingResult:
 
     ``auto_s``/``dense_s`` are cold solves with the structure-exploiting
     and dense kernels; ``warm_s`` re-solves the same instance from the
-    auto solve's deposited barrier iterate.  ``max_rel_err`` is the worst
+    auto solve's final barrier iterate, handed over as a
+    :class:`~repro.optimal.WarmStart`.  ``max_rel_err`` is the worst
     relative energy disagreement of any variant against the dense oracle.
     """
 
@@ -187,8 +188,6 @@ def run_kernels(
     ``results/bench/BENCH_optimal.json``; the default counts keep the
     experiment interactive.
     """
-    from ..optimal import warm_start_cache
-
     power = PolynomialPower(alpha=3.0, static=0.1)
     a_t = np.zeros(len(task_counts))
     d_t = np.zeros(len(task_counts))
@@ -200,14 +199,14 @@ def run_kernels(
             rng = np.random.default_rng(child)
             tasks = paper_workload(rng, PaperWorkloadConfig(n_tasks=int(n)))
 
-            warm_start_cache().clear()
             t0 = time.perf_counter()
-            auto = solve_optimal(tasks, m, power, kernel="auto", warm="auto")
+            auto = solve_optimal(tasks, m, power, kernel="auto")
             a_t[i] += time.perf_counter() - t0
 
-            # second solve of the same instance hits the deposited iterate
+            # second solve of the same instance, from the first one's iterate
+            carried = WarmStart(x=auto.x, t=auto.profile.t_certified)
             t0 = time.perf_counter()
-            warm = solve_optimal(tasks, m, power, kernel="auto", warm="auto")
+            warm = solve_optimal(tasks, m, power, kernel="auto", warm=carried)
             w_t[i] += time.perf_counter() - t0
 
             t0 = time.perf_counter()

@@ -28,6 +28,8 @@ from pathlib import Path
 from ..core.task import Task, TaskSet
 
 __all__ = [
+    "taskset_to_dict",
+    "taskset_from_dict",
     "taskset_to_json",
     "taskset_from_json",
     "taskset_to_csv",
@@ -40,27 +42,25 @@ _FORMAT = "repro-taskset"
 _VERSION = 1
 
 
-def taskset_to_json(tasks: TaskSet, indent: int | None = 2) -> str:
-    """Serialize a task set to a JSON string."""
-    payload = {
+def taskset_to_dict(tasks: TaskSet) -> dict:
+    """The JSON document of a task set, as plain Python values."""
+    return {
         "format": _FORMAT,
         "version": _VERSION,
         "tasks": [
             {
-                "release": t.release,
-                "deadline": t.deadline,
-                "work": t.work,
+                "release": float(t.release),
+                "deadline": float(t.deadline),
+                "work": float(t.work),
                 **({"name": t.name} if t.name else {}),
             }
             for t in tasks
         ],
     }
-    return json.dumps(payload, indent=indent)
 
 
-def taskset_from_json(text: str) -> TaskSet:
-    """Parse a task set from a JSON string."""
-    payload = json.loads(text)
+def taskset_from_dict(payload) -> TaskSet:
+    """Parse a task set from its JSON document (already decoded)."""
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
         raise ValueError(f"not a {_FORMAT} document")
     version = payload.get("version")
@@ -83,6 +83,16 @@ def taskset_from_json(text: str) -> TaskSet:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"task #{i} is malformed: {exc}") from exc
     return TaskSet(tasks)
+
+
+def taskset_to_json(tasks: TaskSet, indent: int | None = 2) -> str:
+    """Serialize a task set to a JSON string."""
+    return json.dumps(taskset_to_dict(tasks), indent=indent)
+
+
+def taskset_from_json(text: str) -> TaskSet:
+    """Parse a task set from a JSON string."""
+    return taskset_from_dict(json.loads(text))
 
 
 def taskset_to_csv(tasks: TaskSet) -> str:

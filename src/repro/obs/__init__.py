@@ -6,8 +6,9 @@ One stdlib-only observability layer the whole pipeline reports into:
   propagation across the service's process-pool boundary (spans produced
   inside a worker ride the result dict home and are stitched back onto
   the request's trace, surviving worker crashes and retries);
-* :mod:`repro.obs.metrics` — the process-wide metrics core (counters,
-  gauges, ring-buffer histograms) the service records into;
+* :mod:`repro.obs.metrics` — the metrics core (counters, gauges,
+  ring-buffer histograms); each service owns one registry and records
+  into it;
 * :mod:`repro.obs.prom` — Prometheus text exposition rendering of a
   metrics snapshot (served by ``GET /metrics`` under content
   negotiation);

@@ -30,7 +30,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "percentile",
-    "global_registry",
 ]
 
 
@@ -225,20 +224,3 @@ class MetricsRegistry:
         for k, v in snap["gauges"].items():
             parts.append(f"{k}={v:g}")
         return " ".join(parts)
-
-
-_GLOBAL: MetricsRegistry | None = None
-
-
-def global_registry() -> MetricsRegistry:
-    """The process-wide default registry.
-
-    Frontends that aren't the daemon (the CLI's ``--profile`` path, ad-hoc
-    scripts) record here; each :class:`~repro.service.server.
-    SchedulingService` instance still owns a private registry so embedded
-    services — several per process in the tests — never share counters.
-    """
-    global _GLOBAL
-    if _GLOBAL is None:
-        _GLOBAL = MetricsRegistry()
-    return _GLOBAL

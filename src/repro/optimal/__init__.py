@@ -30,14 +30,9 @@ from .kkt import (
     verify_optimality,
 )
 from .maxflow import FlowResult, MaxFlowNetwork
-from .projected_gradient import (
-    PGConfig,
-    ProjectedGradientSolver,
-    project_capped_box,
-    project_columns,
-)
+from .projected_gradient import PGConfig, ProjectedGradientSolver, project_columns
 from .scipy_solver import solve_with_scipy
-from .warm import WarmStart, WarmStartCache, repair_warm_start, warm_start_cache
+from .warm import WarmStart, repair_warm_start
 
 __all__ = [
     "ConvexProblem",
@@ -49,7 +44,6 @@ __all__ = [
     "KERNELS",
     "ProjectedGradientSolver",
     "PGConfig",
-    "project_capped_box",
     "project_columns",
     "solve_with_scipy",
     "solve_problem",
@@ -66,9 +60,7 @@ __all__ = [
     "check_demand_feasibility",
     "realize_demands",
     "WarmStart",
-    "WarmStartCache",
     "repair_warm_start",
-    "warm_start_cache",
 ]
 
 
@@ -95,62 +87,42 @@ def solve_problem(
 
     ``warm`` selects the warm-start source:
 
-    * ``None``/``False`` — cold start (bit-stable oracle behavior);
-    * ``"auto"``/``True`` — consult the process-local
-      :func:`~repro.optimal.warm.warm_start_cache` for an iterate with the
-      same coverage signature (perturbed instance, adjacent sweep point);
+    * ``None``/``False`` — cold start;
     * ``"pg"`` — seed from a cheap projected-gradient pass on this problem;
-    * a :class:`~repro.optimal.warm.WarmStart` — use the carried iterate.
+    * a :class:`~repro.optimal.warm.WarmStart` — use the caller's carried
+      iterate (e.g. the previous point of a core-count sweep).
 
-    Every usable warm source is feasibility-repaired first; an unusable one
-    silently degrades to a cold start.  Interior-point solves deposit their
-    final iterate back into the cache (the only solver with a certified
-    gap, hence a meaningful ``t``).
+    Any other value raises ``ValueError``.  Every usable warm source is
+    feasibility-repaired first; an unusable one silently degrades to a cold
+    start.  Nothing is kept between calls: the result depends only on
+    ``problem`` and the arguments.
     """
     config = kwargs.get("config")
     # the continuation growth factor, for placing warm t0; ``config`` is a
     # PGConfig for the projected-gradient backend, which has no μ
     mu = config.mu if isinstance(config, IPConfig) else IPConfig.mu
-    cache = warm_start_cache()
-    signature: tuple | None = None
     x0: np.ndarray | None = None
     t0: float | None = None
-    if warm not in (None, False):
-        signature = problem.coverage_signature()
-        carried: WarmStart | None = None
-        if isinstance(warm, WarmStart):
-            carried = warm
-        elif warm == "pg":
-            if problem.min_available is None and solver != "projected-gradient":
-                seed = ProjectedGradientSolver(problem, _PG_SEED_CONFIG).solve()
-                x0 = repair_warm_start(problem, seed.x)
-                if x0 is not None:
-                    n_ineq = 2 * problem.k + problem.n_subs
-                    gap0 = _PG_SEED_GAP * max(abs(seed.energy), 1.0)
-                    t0 = max(1.0, n_ineq / gap0) / mu
-        elif warm in (True, "auto"):
-            carried = cache.get(signature)
-        else:
-            raise ValueError(f"unsupported warm source {warm!r}")
-        if carried is not None:
-            x0 = repair_warm_start(problem, carried.x)
+    if isinstance(warm, WarmStart):
+        x0 = repair_warm_start(problem, warm.x)
+        if x0 is not None:
+            # back off two continuation steps from the donor's final t:
+            # the repaired iterate is near the donor's optimum, not ours
+            t0 = max(1.0, float(warm.t)) / mu**2
+    elif warm == "pg":
+        if problem.min_available is None and solver != "projected-gradient":
+            seed = ProjectedGradientSolver(problem, _PG_SEED_CONFIG).solve()
+            x0 = repair_warm_start(problem, seed.x)
             if x0 is not None:
-                # back off two continuation steps from the donor's final t:
-                # the repaired iterate is near the donor's optimum, not ours
-                t0 = max(1.0, float(carried.t)) / mu**2
+                n_ineq = 2 * problem.k + problem.n_subs
+                gap0 = _PG_SEED_GAP * max(abs(seed.energy), 1.0)
+                t0 = max(1.0, n_ineq / gap0) / mu
+    elif warm not in (None, False):
+        raise ValueError(f"unsupported warm source {warm!r}")
 
     if solver == "interior-point":
         ip = InteriorPointSolver(problem, config, kernel=kernel)
-        sol = ip.solve(x0=x0, t0=t0)
-        if signature is not None and np.isfinite(sol.gap) and sol.gap > 0:
-            # deposit the certified continuation level, not the nominal
-            # final t: centering beyond the donor's float64 wall fails, so
-            # a recipient must resume below it
-            t_dep = sol.profile.t_certified if sol.profile else float("nan")
-            if not np.isfinite(t_dep):
-                t_dep = ip.n_ineq / sol.gap
-            cache.put(signature, WarmStart(x=sol.x, t=t_dep))
-        return sol
+        return ip.solve(x0=x0, t0=t0)
     if solver == "projected-gradient":
         if problem.min_available is not None:
             raise ValueError(

@@ -172,26 +172,6 @@ class ConvexProblem:
         indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
         return order, indptr
 
-    def coverage_signature(self) -> tuple:
-        """Hashable identity of the variable layout (warm-start cache key).
-
-        Two problems share a signature exactly when their flattened variable
-        vectors line up entry-for-entry — the precondition for reusing an
-        iterate.  Depends only on the release/deadline pattern (not on works,
-        ``m``, or the power model), so perturbed and platform-swept instances
-        of one window structure all map to the same key.
-        """
-        import zlib
-
-        return (
-            self.n_tasks,
-            self.n_subs,
-            self.k,
-            self.min_available is not None,
-            zlib.crc32(self.var_task.tobytes()),
-            zlib.crc32(self.var_sub.tobytes()),
-        )
-
     # -- objective --------------------------------------------------------------------
 
     def objective(self, x: np.ndarray) -> float:

@@ -18,35 +18,7 @@ import numpy as np
 
 from .convex import ConvexProblem, OptimalSolution
 
-__all__ = [
-    "ProjectedGradientSolver",
-    "PGConfig",
-    "project_capped_box",
-    "project_columns",
-]
-
-
-def project_capped_box(y: np.ndarray, upper: np.ndarray, cap: float) -> np.ndarray:
-    """Project ``y`` onto ``{0 ≤ x ≤ upper, Σx ≤ cap}`` (Euclidean).
-
-    Bisection on the threshold ``θ`` of ``x(θ) = clip(y − θ, 0, upper)``;
-    ``Σ x(θ)`` is continuous and nonincreasing in ``θ``.
-    """
-    x0 = np.clip(y, 0.0, upper)
-    total = x0.sum()
-    if total <= cap + 1e-15 * max(cap, 1.0):
-        return x0
-    lo, hi = 0.0, float(np.max(y))  # at θ = max(y), sum is 0 ≤ cap
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        s = np.clip(y - mid, 0.0, upper).sum()
-        if s > cap:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(hi, 1.0):
-            break
-    return np.clip(y - hi, 0.0, upper)
+__all__ = ["ProjectedGradientSolver", "PGConfig", "project_columns"]
 
 
 def project_columns(problem: ConvexProblem, y: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Warm-start protocol for the exact solvers.
 
-Every experiment point, core-count sweep, and service solve of a perturbed
-instance re-solves a convex program whose *variable layout* — the covered
-(task, subinterval) pairs — matches a program just solved.  This module
-carries the last barrier iterate across those solves:
+A caller that re-solves a convex program whose *variable layout* — the
+covered (task, subinterval) pairs — matches a program it just solved (the
+core-count sweep, a benchmark's re-solve) can hand the last barrier
+iterate to the next solve:
 
 * :class:`WarmStart` is the carried state — the final iterate ``x`` and the
   barrier parameter ``t`` it was centered at.
@@ -11,33 +11,23 @@ carries the last barrier iterate across those solves:
   the new program (the sweep changes ``m·Δ_j`` caps; a converged iterate
   hugs active constraints), by blending it toward the program's analytic
   interior point just far enough to restore slack everywhere.
-* :class:`WarmStartCache` is a small process-local LRU keyed by
-  :meth:`~repro.optimal.convex.ConvexProblem.coverage_signature`, so
-  repeated solves of perturbed instances (same release/deadline pattern,
-  different works / core count / power model) warm from the adjacent entry
-  — in the scheduling service this lives next to the plan cache inside
-  each pool worker, with no cross-process coordination needed.
 
-Warm starts never change what is certified: the barrier method still runs
-to the same relative duality-gap bound, so warm and cold energies agree to
-solver tolerance (pinned at ≤1e-9 by the test-suite).
+The caller holds the iterate; nothing is kept between solves, so an exact
+solve is a function of its instance and options.  Warm starts never change
+what is certified: the barrier method still runs to the same relative
+duality-gap bound, so warm and cold energies agree to solver tolerance
+(pinned at ≤1e-9 by the test-suite).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .convex import ConvexProblem
 
-__all__ = [
-    "WarmStart",
-    "WarmStartCache",
-    "repair_warm_start",
-    "warm_start_cache",
-]
+__all__ = ["WarmStart", "repair_warm_start"]
 
 
 @dataclass(frozen=True)
@@ -111,49 +101,3 @@ def repair_warm_start(
         if _strictly_interior(problem, cand):
             return cand
     return base if _strictly_interior(problem, base) else None
-
-
-class WarmStartCache:
-    """Bounded process-local LRU of warm starts, keyed by coverage signature."""
-
-    def __init__(self, capacity: int = 32):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: OrderedDict[tuple, WarmStart] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, signature: tuple) -> WarmStart | None:
-        """The cached iterate for ``signature``, refreshing its LRU slot."""
-        ws = self._entries.get(signature)
-        if ws is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(signature)
-        self.hits += 1
-        return ws
-
-    def put(self, signature: tuple, warm: WarmStart) -> None:
-        """Insert/refresh an entry, evicting the least recently used."""
-        self._entries[signature] = warm
-        self._entries.move_to_end(signature)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop all entries and reset the hit/miss counters."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-_CACHE = WarmStartCache()
-
-
-def warm_start_cache() -> WarmStartCache:
-    """The process-wide warm-start cache (one per worker process)."""
-    return _CACHE

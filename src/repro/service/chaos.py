@@ -9,7 +9,7 @@ is violated:
    retried results must be *bit-identical* to an unfaulted dispatcher's
    (solvers are deterministic, so a re-dispatch is a pure re-execution).
    A second pass with ``max_retries=0`` pins the abandonment path: jobs
-   resolve to ``abandoned`` error dicts, never hang.
+   end as ``abandoned`` error dicts, never hang.
 2. **service under chaos** — a real daemon (process pool) with seeded
    kill/delay/drop faults, hammered by the chaos load generator (which
    injects malformed payloads client-side).  Every request must be

@@ -37,7 +37,6 @@ MetricsRegistry`.
 from __future__ import annotations
 
 import asyncio
-import json
 import multiprocessing
 import os
 import random
@@ -144,7 +143,7 @@ def _degradation_kwargs(job: dict) -> dict:
 
 def _solve_one_schedule(job: dict) -> dict:
     from ..engine import Platform, SolveRequest, solve
-    from ..io.schedio import schedule_to_json
+    from ..io.schedio import schedule_to_dict
 
     tasks, m, power = _build_instance(job)
     request = SolveRequest(tasks=tasks, platform=Platform(m=m, power=power))
@@ -171,9 +170,7 @@ def _solve_one_schedule(job: dict) -> dict:
             out[key] = result.extras[key]
     if job.get("include_schedule", True) and result.schedule is not None:
         with obs.traced("pool.pack"):
-            out["schedule"] = json.loads(
-                schedule_to_json(result.schedule, indent=None)
-            )
+            out["schedule"] = schedule_to_dict(result.schedule)
     return out
 
 
@@ -181,7 +178,7 @@ def _fuse_key(job: dict) -> tuple | None:
     """Signature under which independent jobs can share one solver pass.
 
     Instances fuse only when they agree on the platform (m, power model)
-    and resolve to the same fusable registry solver; everything else —
+    and map to the same fusable registry solver; everything else —
     ``online`` replays, baselines, exact solvers — solves alone.
     """
     from ..engine import UnknownSolverError, resolve_name
@@ -218,7 +215,7 @@ def _solve_fused(jobs: Sequence[dict]) -> list[dict]:
     from ..core.scheduler import SubintervalScheduler
     from ..core.task import Task, TaskSet
     from ..engine import resolve_name
-    from ..io.schedio import schedule_to_json
+    from ..io.schedio import schedule_to_dict
     from ..power.models import PolynomialPower
 
     m = int(jobs[0]["m"])
@@ -279,7 +276,7 @@ def _solve_fused(jobs: Sequence[dict]) -> list[dict]:
             "solver": solver,
         }
         if job.get("include_schedule", True):
-            res["schedule"] = json.loads(schedule_to_json(schedule, indent=None))
+            res["schedule"] = schedule_to_dict(schedule)
         out.append(res)
     return out
 
@@ -463,7 +460,7 @@ class SolveDispatcher:
     :meth:`_dispatch_supervised`: a dead worker (broken pool or simulated
     crash) respawns the executor and re-dispatches the batch at most
     ``retry.max_retries`` times with jittered exponential backoff; beyond
-    that the batch's jobs resolve to per-job error dicts so waiters are
+    that the batch's jobs end as per-job error dicts so waiters are
     always answered.  Counters land in ``metrics``:
 
     * ``worker_restarts`` — times a dead worker (pool) was replaced,

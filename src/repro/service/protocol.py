@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from ..core.task import Task, TaskSet
 from ..engine import UnknownSolverError, resolve_name, solver_names
-from ..io.taskio import taskset_from_json
+from ..io.taskio import taskset_from_dict
 from ..power.models import PolynomialPower
 from .http11 import Raw
 
@@ -298,7 +298,7 @@ def parse_tasks_field(obj) -> TaskSet:
     if isinstance(obj, dict):
         # the on-disk envelope format, embedded verbatim
         try:
-            return taskset_from_json(json.dumps(obj))
+            return taskset_from_dict(obj)
         except ValueError as exc:
             raise ProtocolError(str(exc)) from exc
     if isinstance(obj, list):

@@ -42,6 +42,20 @@ class TestEvaluate:
         assert s.values["F2"] <= s.values["I2"] + 1e-9
 
 
+class TestSolveExact:
+    def test_seeded_from_pg_and_equal_to_a_cold_solve(self):
+        from repro.engine import Platform, SolveRequest
+        from repro.experiments.runner import solve_exact
+        from repro.optimal import solve_optimal
+
+        tasks, power = random_instance(2, n=12)
+        res = solve_exact(SolveRequest(tasks=tasks, platform=Platform(m=4, power=power)))
+        assert res.extras["warm_started"]
+        assert res.schedule is None  # the NEC needs the energy only
+        cold = solve_optimal(tasks, 4, power)
+        assert abs(res.energy - cold.energy) <= 1e-9 * abs(cold.energy)
+
+
 class TestReplication:
     def test_deterministic(self):
         spec = PointSpec(n_tasks=8)

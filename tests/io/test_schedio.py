@@ -1,9 +1,19 @@
 """Unit tests for schedule serialization."""
 
+import json
+
+import numpy as np
 import pytest
 
-from repro.core import SubintervalScheduler
-from repro.io import load_schedule, save_schedule, schedule_from_json, schedule_to_json
+from repro.core import Schedule, Segment, SubintervalScheduler
+from repro.io import (
+    load_schedule,
+    save_schedule,
+    schedule_from_dict,
+    schedule_from_json,
+    schedule_to_dict,
+    schedule_to_json,
+)
 from repro.sim import validate_schedule
 from tests.conftest import random_instance
 
@@ -39,6 +49,29 @@ class TestRoundtrip:
         save_schedule(schedule, p)
         out = load_schedule(p)
         assert out.total_energy() == pytest.approx(schedule.total_energy())
+
+
+class TestDict:
+    def test_roundtrip(self, schedule):
+        out = schedule_from_dict(schedule_to_dict(schedule))
+        assert list(out) == list(schedule)
+        assert out.tasks == schedule.tasks
+
+    def test_json_is_the_encoded_document(self, schedule):
+        doc = schedule_to_dict(schedule)
+        assert schedule_to_json(schedule) == json.dumps(doc, indent=2)
+        assert json.loads(schedule_to_json(schedule, indent=None)) == doc
+
+    def test_numpy_scalars_become_python_numbers(self, schedule):
+        seg = schedule[0]
+        numpy_seg = Segment(
+            seg.task_id, seg.core, np.float64(seg.start), np.float64(seg.end),
+            np.float64(seg.frequency),
+        )
+        numpy_schedule = Schedule(schedule.tasks, schedule.n_cores, schedule.power, [numpy_seg])
+        (out,) = schedule_to_dict(numpy_schedule)["segments"]
+        assert [type(v) for v in out.values()] == [int, int, float, float, float]
+        assert out["start"] == seg.start
 
 
 class TestValidation:

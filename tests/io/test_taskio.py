@@ -1,5 +1,7 @@
 """Unit tests for task-set serialization."""
 
+import json
+
 import pytest
 
 from repro.core import Task, TaskSet
@@ -7,8 +9,10 @@ from repro.io import (
     load_taskset,
     save_taskset,
     taskset_from_csv,
+    taskset_from_dict,
     taskset_from_json,
     taskset_to_csv,
+    taskset_to_dict,
     taskset_to_json,
 )
 
@@ -53,6 +57,33 @@ class TestJson:
         )
         with pytest.raises(ValueError, match="deadline"):
             taskset_from_json(doc)
+
+
+class TestDict:
+    def test_roundtrip(self, tasks):
+        assert taskset_from_dict(taskset_to_dict(tasks)) == tasks
+
+    def test_json_is_the_encoded_document(self, tasks):
+        assert taskset_to_json(tasks) == json.dumps(taskset_to_dict(tasks), indent=2)
+        assert json.loads(taskset_to_json(tasks, indent=None)) == taskset_to_dict(tasks)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {"format": "other", "version": 1, "tasks": []},
+            {"format": "repro-taskset", "version": 99, "tasks": [{}]},
+            {"format": "repro-taskset", "version": 1, "tasks": []},
+            {"format": "repro-taskset", "version": 1, "tasks": [{"release": 0}]},
+            {"format": "repro-taskset", "version": 1, "tasks": [[0.0, 1.0, 1.0]]},
+        ],
+    )
+    def test_rejects_what_the_json_loader_rejects(self, doc):
+        with pytest.raises(ValueError) as from_dict:
+            taskset_from_dict(doc)
+        with pytest.raises(ValueError) as from_text:
+            taskset_from_json(json.dumps(doc))
+        assert str(from_dict.value) == str(from_text.value)
 
 
 class TestCsv:

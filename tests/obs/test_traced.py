@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import Task, TaskSet
 from repro.core.incremental import ScheduleSession
-from repro.engine import Platform, SolveRequest, open_session, register, resolve, solve
+from repro.engine import Platform, SolveRequest, register, solve
 from repro.engine.registry import _REGISTRY
 from repro.obs import context as obs
 from repro.power import PolynomialPower
@@ -107,13 +107,6 @@ class TestTraced:
         assert names[f"solver:{crashing_solver}"]["status"] == "error"
         assert names["solver:subinterval-der"]["status"] == "ok"
 
-    def test_resolve_emits_resolve_then_validate(self):
-        session = open_session("der", Platform(m=2, power=_POWER), tasks=_ROWS)
-        with obs.capture() as spans:
-            resolve(session)
-        assert [sp["name"] for sp in spans] == ["engine.validate", "engine.resolve"]
-        assert spans[0]["parent_id"] == spans[1]["span_id"]
-
     def test_session_delta_emits_one_span(self):
         session = ScheduleSession(2, _POWER, method="der", tasks=_ROWS[:2])
         with obs.capture() as spans:
@@ -143,10 +136,6 @@ class TestUntraced:
 
     def test_degraded_solve_builds_no_span(self, made, crashing_solver):
         assert solve(crashing_solver, _request(), fallback="der").degraded
-        assert made == []
-
-    def test_resolve_builds_no_span(self, made):
-        resolve(open_session("der", Platform(m=2, power=_POWER), tasks=_ROWS))
         assert made == []
 
     def test_session_delta_builds_no_span(self, made):

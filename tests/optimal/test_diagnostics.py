@@ -16,8 +16,9 @@ from repro.optimal import (
     ConvexProblem,
     InteriorPointSolver,
     IPConfig,
-    repair_warm_start,
+    WarmStart,
     solve_optimal,
+    solve_problem,
 )
 from tests.conftest import random_instance
 
@@ -94,9 +95,9 @@ class TestPerSolveState:
 
 class TestEventsMirrorTheRecord:
     @staticmethod
-    def _traced_solve(**start):
+    def _traced_solve(warm=None):
         with obs.capture() as spans, obs.span("solver:optimal:interior-point"):
-            sol = InteriorPointSolver(_problem()).solve(**start)
+            sol = solve_problem(_problem(), warm=warm)
         (sp,) = spans
         return sol, sp["attrs"].get("events", [])
 
@@ -118,11 +119,8 @@ class TestEventsMirrorTheRecord:
         self._assert_mirrored(sol, events)
 
     def test_warm_solve(self, solution):
-        problem = _problem()
-        x0 = repair_warm_start(problem, solution.x)
-        assert x0 is not None
-        t0 = solution.profile.t_certified / IPConfig().mu**2
-        sol, events = self._traced_solve(x0=x0, t0=t0)
+        carried = WarmStart(x=solution.x, t=solution.profile.t_certified)
+        sol, events = self._traced_solve(warm=carried)
         assert sol.profile.warm_started
         assert len(events) < len(solution.profile.centers)
         self._assert_mirrored(sol, events)

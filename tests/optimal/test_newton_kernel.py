@@ -15,16 +15,15 @@ from repro.optimal import (
     ConvexProblem,
     InteriorPointSolver,
     WarmStart,
-    project_capped_box,
     project_columns,
     repair_warm_start,
     solve_optimal,
     solve_optimal_capped,
     solve_problem,
-    warm_start_cache,
 )
 from repro.power import PolynomialPower
 from tests.conftest import random_instance
+from tests.oracles import project_capped_box
 
 REL_TOL = 1e-9  # pinned cross-kernel / warm-vs-cold agreement
 
@@ -38,11 +37,9 @@ def _rel(a, b):
     return abs(a - b) / max(abs(b), 1.0)
 
 
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    warm_start_cache().clear()
-    yield
-    warm_start_cache().clear()
+def _carried(sol) -> WarmStart:
+    """The final iterate of ``sol`` at its certified continuation level."""
+    return WarmStart(x=sol.x, t=sol.profile.t_certified)
 
 
 class TestKernelEquality:
@@ -125,37 +122,21 @@ class TestDegenerateStructures:
 class TestWarmStarts:
     def test_warm_matches_cold_every_backend(self):
         tasks, power = random_instance(5, n=10)
+        request = SolveRequest(tasks=tasks, platform=Platform(m=4, power=power))
+        carried = _carried(solve_optimal(tasks, 4, power))
         for name in solver_names():
             if not name.startswith("optimal:"):
                 continue
-            warm_start_cache().clear()
-            cold = solve(
-                name,
-                SolveRequest(tasks=tasks, platform=Platform(m=4, power=power)),
-                validate=False,
-                materialize=False,
-                warm=False,
-            )
-            warm_start_cache().clear()
-            solve(  # prime the cache with a certified iterate
-                "optimal:interior-point",
-                SolveRequest(tasks=tasks, platform=Platform(m=4, power=power)),
-                validate=False,
-                materialize=False,
-            )
+            cold = solve(name, request, validate=False, materialize=False)
             warm = solve(
-                name,
-                SolveRequest(tasks=tasks, platform=Platform(m=4, power=power)),
-                validate=False,
-                materialize=False,
-                warm="auto",
+                name, request, validate=False, materialize=False, warm=carried
             )
             assert _rel(warm.energy, cold.energy) <= REL_TOL, name
 
     def test_warm_reduces_newton_iterations(self):
         p = _problem(3, n=12)
-        cold = solve_problem(p, warm="auto")
-        warm = solve_problem(p, warm="auto")
+        cold = solve_problem(p)
+        warm = solve_problem(p, warm=_carried(cold))
         assert warm.profile.warm_started
         assert not cold.profile.warm_started
         assert warm.profile.total_newton < cold.profile.total_newton
@@ -177,8 +158,9 @@ class TestWarmStarts:
 
     def test_unknown_warm_source_rejected(self):
         p = _problem(2)
-        with pytest.raises(ValueError, match="warm"):
-            solve_problem(p, warm="tepid")
+        for source in ("tepid", "auto", True):
+            with pytest.raises(ValueError, match="warm"):
+                solve_problem(p, warm=source)
 
     def test_repair_restores_strict_feasibility(self):
         # a converged iterate for m=2 hugs constraints the m=1 program
@@ -222,7 +204,6 @@ class TestCoreSelectionSweep:
         sel = select_core_count_optimal(tasks, 4, power)
         assert len(sel.newton_iterations) == 4
         for i, m in enumerate(sel.counts):
-            warm_start_cache().clear()
             cold = solve_optimal(tasks, int(m), power, kernel="dense")
             assert _rel(sel.energies[i], cold.energy) <= REL_TOL
         # energies decrease weakly with more cores (caps only loosen)
@@ -249,34 +230,20 @@ class TestEngineProfile:
         assert ex["dense_fallbacks"] == 0
         assert isinstance(ex["warm_started"], bool)
 
-    def test_scratch_warm_start_on_repeat_solve(self):
+    def test_repeat_solve_on_one_request_is_identical(self):
+        # nothing carries over between solves: the second solve of the same
+        # request starts cold and lands on the same bits
         tasks, power = random_instance(8, n=10)
         req = SolveRequest(tasks=tasks, platform=Platform(m=4, power=power))
-        r1 = solve(
-            "optimal:interior-point", req, validate=False, materialize=False
-        )
-        r2 = solve(
-            "optimal:interior-point", req, validate=False, materialize=False
-        )
-        assert not r1.extras["warm_started"]
-        assert r2.extras["warm_started"]
-        assert (
-            r2.extras["newton_iterations"] < r1.extras["newton_iterations"]
-        )
-        assert _rel(r2.energy, r1.energy) <= REL_TOL
-
-    def test_cold_option_disables_warm(self):
-        tasks, power = random_instance(8, n=10)
-        req = SolveRequest(tasks=tasks, platform=Platform(m=4, power=power))
-        solve("optimal:interior-point", req, validate=False, materialize=False)
-        r2 = solve(
-            "optimal:interior-point",
-            req,
-            validate=False,
-            materialize=False,
-            warm=False,
-        )
-        assert not r2.extras["warm_started"]
+        r1 = solve("optimal:interior-point", req, validate=False, materialize=False)
+        r2 = solve("optimal:interior-point", req, validate=False, materialize=False)
+        assert not r1.extras["warm_started"] and not r2.extras["warm_started"]
+        assert r2.energy == r1.energy
+        assert r2.extras.keys() == r1.extras.keys()
+        for key, value in r1.extras.items():
+            if key == "factor_time_s":
+                continue  # wall-clock
+            np.testing.assert_array_equal(r2.extras[key], value, err_msg=key)
 
 
 class TestColumnProjection:

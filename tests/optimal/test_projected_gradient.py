@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import Timeline
-from repro.optimal import (
-    ConvexProblem,
-    PGConfig,
-    ProjectedGradientSolver,
-    project_capped_box,
-)
+from repro.optimal import ConvexProblem, PGConfig, ProjectedGradientSolver
 from repro.power import PolynomialPower
 from tests.conftest import random_instance
+from tests.oracles import project_capped_box
 
 
 class TestProjection:

@@ -9,7 +9,9 @@ batched or incrementally:
   behind :func:`repro.core.wrap_schedule.pack_matrix_flat`;
 * :func:`online_rebuild` — the online event loop with a full batch re-plan
   at every release, behind the incremental session's delta re-plan;
-* :func:`batch_oracle` — a fresh batch scheduler over a session's rows.
+* :func:`batch_oracle` — a fresh batch scheduler over a session's rows;
+* :func:`project_capped_box` — the single-column bisection behind
+  :func:`repro.optimal.project_columns`.
 
 The tests and the benchmarks import this module; nothing under ``src/``
 does.
@@ -37,7 +39,13 @@ from repro.core import (
 )
 from repro.power import PolynomialPower
 
-__all__ = ["batch_oracle", "online_rebuild", "scalar_plan", "scalar_slots"]
+__all__ = [
+    "batch_oracle",
+    "online_rebuild",
+    "project_capped_box",
+    "scalar_plan",
+    "scalar_slots",
+]
 
 
 def scalar_plan(
@@ -119,3 +127,26 @@ def online_rebuild(
 def batch_oracle(session: ScheduleSession) -> SubintervalScheduler:
     """A fresh batch scheduler over the session's current rows."""
     return SubintervalScheduler(session.taskset(), session.m, session.power)
+
+
+def project_capped_box(y: np.ndarray, upper: np.ndarray, cap: float) -> np.ndarray:
+    """Project ``y`` onto ``{0 ≤ x ≤ upper, Σx ≤ cap}`` (Euclidean).
+
+    Bisection on the threshold ``θ`` of ``x(θ) = clip(y − θ, 0, upper)``;
+    ``Σ x(θ)`` is continuous and nonincreasing in ``θ``.
+    """
+    x0 = np.clip(y, 0.0, upper)
+    total = x0.sum()
+    if total <= cap + 1e-15 * max(cap, 1.0):
+        return x0
+    lo, hi = 0.0, float(np.max(y))  # at θ = max(y), sum is 0 ≤ cap
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        s = np.clip(y - mid, 0.0, upper).sum()
+        if s > cap:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * max(hi, 1.0):
+            break
+    return np.clip(y - hi, 0.0, upper)

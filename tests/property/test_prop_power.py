@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.power import DiscreteFrequencySet, PolynomialPower
 from repro.power.fitting import fit_linear_given_alpha
-from repro.optimal.projected_gradient import project_capped_box
+from tests.oracles import project_capped_box
 
 from .strategies import power_strategy
 

@@ -11,11 +11,15 @@ failing the batch.
 """
 
 import json
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.io.schedio import schedule_from_json
+from repro.core import Task, TaskSet
+from repro.engine import Platform, SolveRequest, solve
+from repro.io.schedio import schedule_from_dict, schedule_from_json, schedule_to_json
+from repro.power import PolynomialPower
 from repro.service.pool import _fuse_key, _solve_one_schedule, solve_schedule_batch
 from repro.sim.validate import validate_schedule
 from repro.workloads.generator import PaperWorkloadConfig, paper_workload
@@ -94,6 +98,45 @@ class TestFusedEqualsSolo:
         results = solve_schedule_batch([_job(rng, include=False) for _ in range(4)])
         assert all("schedule" not in r for r in results)
         assert all(r["energy"] > 0 for r in results)
+
+
+def _plain_numbers(value) -> bool:
+    """True when every number in a decoded document is a Python int/float."""
+    if isinstance(value, dict):
+        return all(_plain_numbers(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_plain_numbers(v) for v in value)
+    return type(value) in (int, float, str, bool)
+
+
+class TestScheduleDocument:
+    """A worker's reply carries the schedule as the JSON text serializer's
+    document: the daemon's one ``json.dumps`` writes the same bytes as
+    ``schedule_to_json`` would, and the pickled reply holds no numpy
+    scalars."""
+
+    @pytest.mark.parametrize("method", ["der", "naive"])  # naive packs numpy floats
+    def test_solo_reply_matches_the_text_serializer(self, method):
+        job = _job(np.random.default_rng(4), n_tasks=20, m=4, method=method)
+        (got,) = solve_schedule_batch([job])
+        tasks = TaskSet(Task(r, d, c, name) for r, d, c, name in job["tasks"])
+        request = SolveRequest(
+            tasks=tasks, platform=Platform(m=4, power=PolynomialPower(3.0, 0.1))
+        )
+        schedule = solve(method, request, validate=False).schedule
+        text = json.dumps(json.loads(schedule_to_json(schedule, indent=None)))
+        assert json.dumps(got["schedule"]) == text
+        assert _plain_numbers(got)
+        assert pickle.loads(pickle.dumps(got)) == got
+
+    def test_fused_replies_match_the_text_serializer(self):
+        rng = np.random.default_rng(5)
+        jobs = [_job(rng, n_tasks=20, m=4) for _ in range(8)]
+        for got in solve_schedule_batch(jobs):
+            schedule = schedule_from_dict(got["schedule"])
+            text = json.dumps(json.loads(schedule_to_json(schedule, indent=None)))
+            assert json.dumps(got["schedule"]) == text
+            assert _plain_numbers(got)
 
 
 class TestMixedBatches:

@@ -66,19 +66,36 @@ class TestEnvelope:
         run_with_service(scenario, _config())
 
     def test_v1_optimal_wraps_the_legacy_payload_shape(self):
-        # /optimal carries warm-start state across solves (iterate-level
-        # floats drift run to run), so the contract here is structural:
-        # same fields, same solver, energies within solver tolerance
         async def scenario(service):
             payload = {"tasks": _TASKS, "m": 2, "alpha": 3.0, "static": 0.1}
             (ls, _, lbody), (vs, _, vbody) = await _both(
                 service, "POST", "/optimal", payload
             )
             assert ls == vs == 200
-            result = vbody["result"]
-            assert set(result) == set(lbody)
-            assert result["solver"] == lbody["solver"] == "interior-point"
-            assert result["energy"] == pytest.approx(lbody["energy"], rel=1e-8)
+            assert vbody["result"] == lbody
+
+        run_with_service(scenario, _config())
+
+    def test_optimal_answer_ignores_earlier_solves(self):
+        # one in-process daemon solves the same body before and after a
+        # neighbour with the same window layout (works x1.03): an exact
+        # solve depends only on its own request
+        async def scenario(service):
+            payload = {"tasks": _TASKS, "m": 2, "alpha": 3.0, "static": 0.1}
+            neighbour = {
+                **payload,
+                "tasks": [[r, d, c * 1.03] for r, d, c in _TASKS],
+            }
+            client = HttpClient("127.0.0.1", service.port)
+            await client.connect()
+            try:
+                _, first = await client.request("POST", "/v1/optimal", payload)
+                _, other = await client.request("POST", "/v1/optimal", neighbour)
+                _, again = await client.request("POST", "/v1/optimal", payload)
+            finally:
+                await client.close()
+            assert other["result"]["energy"] != first["result"]["energy"]
+            assert json.dumps(again["result"]) == json.dumps(first["result"])
 
         run_with_service(scenario, _config())
 
@@ -283,6 +300,43 @@ class TestSolverDiscovery:
             for entry in solvers.values():
                 assert set(entry) >= {"name", "aliases", "optimal_only",
                                       "session"}
+
+        run_with_service(scenario, _config())
+
+    def test_catalog_bytes_are_pinned(self):
+        def entry(name, aliases=(), session=False):
+            exact = name.startswith("optimal:")
+            return {"name": name, "aliases": list(aliases), "optimal_only": exact,
+                    "session": session,
+                    "degrades_to": "subinterval-der" if exact else None}
+
+        catalog = [
+            entry("edf"),
+            entry("naive"),
+            entry("online"),
+            entry("optimal:interior-point", ["interior-point"]),
+            entry("optimal:projected-gradient", ["projected-gradient"]),
+            entry("optimal:slsqp", ["SLSQP"]),
+            entry("optimal:trust-constr", ["trust-constr"]),
+            entry("practical"),
+            entry("subinterval-der", ["der"], session=True),
+            entry("subinterval-even", ["even"], session=True),
+            entry("yds"),
+        ]
+
+        async def scenario(service):
+            _, body = await request_once(
+                "127.0.0.1", service.port, "GET", "/v1/solvers"
+            )
+            names = {s["name"] for s in body["result"]["solvers"]}
+            expected = {
+                "api_version": "v1",
+                # the SciPy backends register only when SciPy imports
+                "solvers": [e for e in catalog if e["name"] in names],
+                "default_method": "der",
+                "default_optimal": "interior-point",
+            }
+            assert json.dumps(body["result"]) == json.dumps(expected)
 
         run_with_service(scenario, _config())
 
