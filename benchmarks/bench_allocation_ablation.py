@@ -6,7 +6,6 @@ of random instances (the paper's headline qualitative result).
 """
 
 import numpy as np
-import pytest
 
 from repro.core import (
     SubintervalScheduler,

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.schedule import Schedule, Segment
 from ..core.task import TaskSet
 from ..power.models import PolynomialPower

@@ -148,6 +148,7 @@ def select_core_count_optimal(
     Ties break toward fewer cores.
     """
     from ..optimal import ConvexProblem, solve_problem
+    from ..optimal.interior_point import MU
     from ..optimal.warm import WarmStart
 
     if m_min < 1 or m_max < m_min:
@@ -175,10 +176,7 @@ def select_core_count_optimal(
             # one extra μ-step of backoff beyond the standard warm protocol:
             # the next candidate's optimum moves with the capacity caps, so
             # the carried iterate is farther off than a same-instance warm
-            from ..optimal.interior_point import IPConfig
-
-            mu = IPConfig().mu
-            carried = WarmStart(x=sol.x, t=sol.profile.t_certified / mu)
+            carried = WarmStart(x=sol.x, t=sol.profile.t_certified / MU)
     best_idx = int(np.argmin(energies))
     return OptimalCoreSelection(
         best_m=int(counts[best_idx]),

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..power.discrete import DiscreteFrequencySet
 from .allocation import AllocationMethod
-from .schedule import Schedule, Segment
+from .schedule import Schedule
 from .scheduler import SubintervalScheduler, fill_slots
 
 __all__ = ["PracticalResult", "PracticalScheduler"]

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..power.models import PolynomialPower
 from .allocation import AllocationMethod, AllocationPlan, build_allocation_plan
-from .frequency import FrequencyAssignment, refine_frequencies
+from .frequency import refine_frequencies
 from .ideal import IdealSolution, solve_ideal
 from .intervals import Timeline
 from .schedule import Schedule, Segment

@@ -14,7 +14,7 @@ intensities) exposed as NumPy arrays so downstream code can stay vectorized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np

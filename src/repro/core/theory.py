@@ -19,7 +19,7 @@ paper's theorems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..power.models import PolynomialPower
 from .scheduler import SubintervalScheduler

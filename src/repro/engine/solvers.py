@@ -147,15 +147,12 @@ def _optimal(req: SolveRequest, options: Mapping, backend: str) -> SolveResult:
     else:
         problem = ConvexProblem(timeline, req.platform.m, req.platform.power)
 
-    kwargs = {}
-    if options.get("config") is not None:
-        kwargs["config"] = options["config"]
     sol = solve_problem(
         problem,
         solver=backend,
         kernel=options.get("kernel", "auto"),
         warm=options.get("warm"),
-        **kwargs,
+        config=options.get("config"),
     )
     schedule = None
     if options.get("materialize", True):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis.tables import format_csv, format_table
-from ..core.allocation import AllocationPlan, allocate_proportional, build_allocation_plan
+from ..core.allocation import AllocationPlan, allocate_proportional
 from ..core.scheduler import SubintervalScheduler
 from ..optimal import solve_optimal
 from .runner import PointSpec

@@ -17,8 +17,8 @@ Structure mirrors §VI's methodology exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -70,15 +70,13 @@ class PointSpec:
 def solve_exact(req: SolveRequest) -> SolveResult:
     """A replication's exact optimum ``E^(O)``, without a schedule.
 
-    The barrier is seeded from a cheap projected-gradient pass, which
-    starts the continuation several μ-steps up the path.
+    A cold interior-point solve: its polish stops at a stationary iterate
+    within a handful of FISTA steps at the paper's size, so a
+    projected-gradient seed would cost more than the continuation steps
+    it skips.
     """
     return solve(
-        "optimal:interior-point",
-        req,
-        validate=False,
-        materialize=False,
-        warm="pg",
+        "optimal:interior-point", req, validate=False, materialize=False
     )
 
 

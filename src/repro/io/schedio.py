@@ -12,7 +12,6 @@ import json
 from pathlib import Path
 
 from ..core.schedule import Schedule, Segment
-from ..core.task import TaskSet
 from ..power.models import PolynomialPower
 from .taskio import taskset_from_dict, taskset_to_dict
 

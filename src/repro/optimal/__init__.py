@@ -17,9 +17,9 @@ from ..power.models import PolynomialPower
 from .convex import ConvexProblem, OptimalSolution
 from .interior_point import (
     KERNELS,
+    MU,
     CenteringRecord,
     InteriorPointSolver,
-    IPConfig,
     KernelProfile,
 )
 from .flow import DemandRealization, check_demand_feasibility, realize_demands
@@ -38,7 +38,6 @@ __all__ = [
     "ConvexProblem",
     "OptimalSolution",
     "InteriorPointSolver",
-    "IPConfig",
     "KernelProfile",
     "CenteringRecord",
     "KERNELS",
@@ -81,6 +80,7 @@ def solve_problem(
     *,
     kernel: str = "auto",
     warm: "WarmStart | str | bool | None" = None,
+    config: PGConfig | None = None,
     **kwargs,
 ) -> OptimalSolution:
     """Solve one already-built :class:`ConvexProblem` (see :func:`solve_optimal`).
@@ -96,11 +96,15 @@ def solve_problem(
     feasibility-repaired first; an unusable one silently degrades to a cold
     start.  Nothing is kept between calls: the result depends only on
     ``problem`` and the arguments.
+
+    ``config`` tunes the projected-gradient backend only; any other backend
+    given one raises ``ValueError``.  Remaining keywords reach the SciPy
+    methods (``tol``, ``max_iter``).
     """
-    config = kwargs.get("config")
-    # the continuation growth factor, for placing warm t0; ``config`` is a
-    # PGConfig for the projected-gradient backend, which has no μ
-    mu = config.mu if isinstance(config, IPConfig) else IPConfig.mu
+    if config is not None and solver != "projected-gradient":
+        raise ValueError(
+            f"config applies to the projected-gradient solver only, not {solver!r}"
+        )
     x0: np.ndarray | None = None
     t0: float | None = None
     if isinstance(warm, WarmStart):
@@ -108,7 +112,7 @@ def solve_problem(
         if x0 is not None:
             # back off two continuation steps from the donor's final t:
             # the repaired iterate is near the donor's optimum, not ours
-            t0 = max(1.0, float(warm.t)) / mu**2
+            t0 = max(1.0, float(warm.t)) / MU**2
     elif warm == "pg":
         if problem.min_available is None and solver != "projected-gradient":
             seed = ProjectedGradientSolver(problem, _PG_SEED_CONFIG).solve()
@@ -116,13 +120,12 @@ def solve_problem(
             if x0 is not None:
                 n_ineq = 2 * problem.k + problem.n_subs
                 gap0 = _PG_SEED_GAP * max(abs(seed.energy), 1.0)
-                t0 = max(1.0, n_ineq / gap0) / mu
+                t0 = max(1.0, n_ineq / gap0) / MU
     elif warm not in (None, False):
         raise ValueError(f"unsupported warm source {warm!r}")
 
     if solver == "interior-point":
-        ip = InteriorPointSolver(problem, config, kernel=kernel)
-        return ip.solve(x0=x0, t0=t0)
+        return InteriorPointSolver(problem, kernel=kernel).solve(x0=x0, t0=t0)
     if solver == "projected-gradient":
         if problem.min_available is not None:
             raise ValueError(
@@ -130,7 +133,6 @@ def solve_problem(
                 "feasible set; use interior-point or a SciPy method"
             )
         return ProjectedGradientSolver(problem, config).solve(x0=x0)
-    kwargs.pop("config", None)
     return solve_with_scipy(problem, method=solver, x0=x0, **kwargs)
 
 

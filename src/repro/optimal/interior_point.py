@@ -70,7 +70,6 @@ except ImportError:  # pragma: no cover - scipy is present in CI
 __all__ = [
     "CenteringRecord",
     "InteriorPointSolver",
-    "IPConfig",
     "KernelProfile",
     "KERNELS",
 ]
@@ -94,29 +93,37 @@ _FULL_STEP_LAM2 = 0.09
 _STALL_LIMIT = 3
 
 
-@dataclass(frozen=True)
-class IPConfig:
-    """Tunables of the barrier method (defaults fine for all paper sizes)."""
+#: Barrier parameter the continuation starts at (a warm ``t0`` only raises it).
+_T_INIT = 1.0
 
-    t_init: float = 1.0
-    mu: float = 20.0  # barrier parameter growth factor
-    gap_tol: float = 1e-9  # relative duality-gap target
-    newton_tol: float = 1e-10  # λ²/2 threshold per centering step
-    max_newton: int = 80  # Newton iterations per centering step
-    max_outer: int = 60  # barrier continuation steps
-    armijo: float = 0.25
-    backtrack: float = 0.5
-    #: FISTA iteration budget of the projected-gradient polish that runs on
-    #: the final barrier iterate (0 disables).  The barrier's centering
-    #: precision hits a float64 wall once ``t`` drives active slacks below
-    #: the rounding noise of the capacity sums; the polish works on the raw
-    #: objective with exact feasible-set projections instead, so it is
-    #: immune to that wall and lands every kernel/start on the same optimum
-    #: to near machine precision.  The barrier iterate is already within
-    #: ~1e-8 relative of the optimum, yet at the paper's size (n=20, m=4)
-    #: the polish is most of the solve: 87% and 93% of the median exact
-    #: solve in two traced perfbench serve-cold runs on a 2-CPU host.
-    polish: int = 250
+#: Growth factor of the barrier parameter per continuation step.
+MU = 20.0
+
+#: Relative duality-gap target: the continuation stops once
+#: ``n_ineq / t ≤ GAP_TOL · max(|E|, 1)``.
+GAP_TOL = 1e-9
+
+#: ``λ²/2`` threshold that ends a centering step.
+_NEWTON_TOL = 1e-10
+
+#: Newton iterations per centering step, and continuation steps per solve.
+_MAX_NEWTON = 80
+_MAX_OUTER = 60
+
+#: Armijo fraction and backtracking factor of the damped-phase line search.
+_ARMIJO = 0.25
+_BACKTRACK = 0.5
+
+#: FISTA settings of the projected-gradient polish that runs on the final
+#: barrier iterate.  The barrier's centering precision hits a float64 wall
+#: once ``t`` drives active slacks below the rounding noise of the capacity
+#: sums; the polish works on the raw objective with exact feasible-set
+#: projections instead, so it is immune to that wall and lands every
+#: kernel/start on the same optimum to near machine precision.  It ends at
+#: a stationary iterate (see :meth:`ProjectedGradientSolver.solve`), within
+#: a handful of iterations at the paper's size (n=20, m=4); the 250-iteration
+#: ceiling and the small-change rule are the safety net that n=500 needs.
+_POLISH_CONFIG = PGConfig(max_iter=250, tol=1e-14, patience=40)
 
 
 @dataclass(frozen=True)
@@ -168,8 +175,9 @@ class KernelProfile:
         instance.  Warm starts resume below it; ``NaN`` when no centering
         converged.
     polish_iters:
-        FISTA iterations spent by the projected-gradient polish (0 when
-        disabled or inapplicable).
+        FISTA iterations spent by the projected-gradient polish (0 under a
+        frequency cap, which the polish does not support, or when the
+        polish could not lower the barrier iterate's energy).
     """
 
     kernel: str
@@ -209,8 +217,6 @@ class InteriorPointSolver:
     ----------
     problem:
         The flattened convex program.
-    config:
-        Barrier tunables (:class:`IPConfig`).
     kernel:
         ``"auto"`` (default) picks the cheapest Newton kernel from the
         problem's structure; ``"banded"``/``"schur"`` force the structured
@@ -219,14 +225,8 @@ class InteriorPointSolver:
         bit-stable oracle the structured kernels are tested against.
     """
 
-    def __init__(
-        self,
-        problem: ConvexProblem,
-        config: IPConfig | None = None,
-        kernel: str = "auto",
-    ):
+    def __init__(self, problem: ConvexProblem, kernel: str = "auto"):
         self.p = problem
-        self.cfg = config or IPConfig()
         # number of inequality constraints: 2 per variable + 1 per subinterval
         # (+ 1 per capped task when a frequency cap is present)
         self.n_ineq = 2 * problem.k + problem.n_subs
@@ -580,7 +580,7 @@ class InteriorPointSolver:
     def solve(
         self, x0: np.ndarray | None = None, t0: float | None = None
     ) -> OptimalSolution:
-        """Run the barrier method to the configured duality gap.
+        """Run the barrier method to the relative duality gap ``GAP_TOL``.
 
         ``x0`` must be strictly feasible when given (see
         :func:`repro.optimal.warm.repair_warm_start` for making a carried
@@ -594,7 +594,7 @@ class InteriorPointSolver:
         same record also lands on the enclosing span as an ``ip.center``
         event (one contextvar read when tracing is off).
         """
-        p, cfg = self.p, self.cfg
+        p = self.p
         warm = x0 is not None
         x = p.feasible_start() if x0 is None else np.array(x0, dtype=np.float64)
         s_lo, s_hi, s_cap = self._slacks(x)
@@ -604,7 +604,7 @@ class InteriorPointSolver:
         if s_task is not None and np.any(s_task[self._capped] <= 0):
             raise ValueError("x0 is not strictly feasible (frequency cap)")
 
-        t = cfg.t_init if t0 is None else max(float(t0), cfg.t_init)
+        t = _T_INIT if t0 is None else max(float(t0), _T_INIT)
         t_start = t
         t_certified = float("nan")
         total_iters = 0
@@ -612,20 +612,20 @@ class InteriorPointSolver:
         fallbacks = 0
         centers: list[CenteringRecord] = []
         gap = self.n_ineq / t
-        for _outer in range(cfg.max_outer):
+        for _outer in range(_MAX_OUTER):
             # center at this t
             steps = 0
             best_lam2 = float("inf")
             stalls = 0
             lam2 = float("inf")
-            for _ in range(cfg.max_newton):
+            for _ in range(_MAX_NEWTON):
                 t_step = time.perf_counter()
                 dx, lam2, fell_back = self._newton_step(x, t)
                 factor_time += time.perf_counter() - t_step
                 fallbacks += fell_back
                 total_iters += 1
                 steps += 1
-                if lam2 / 2.0 <= cfg.newton_tol:
+                if lam2 / 2.0 <= _NEWTON_TOL:
                     break
                 if lam2 <= _FULL_STEP_LAM2:
                     # λ² bottoming out inside the quadratic region means the
@@ -652,9 +652,9 @@ class InteriorPointSolver:
                 while step > 1e-14:
                     cand = x + step * dx
                     phi1 = self._phi(cand, t)
-                    if np.isfinite(phi1) and phi1 <= phi0 + cfg.armijo * step * slope:
+                    if np.isfinite(phi1) and phi1 <= phi0 + _ARMIJO * step * slope:
                         break
-                    step *= cfg.backtrack
+                    step *= _BACKTRACK
                 else:
                     break  # no progress possible; centering stalls
                 x = x + step * dx
@@ -686,19 +686,17 @@ class InteriorPointSolver:
                 newton_iterations=rec.newton_iterations,
                 factor_time_s=rec.factor_time_s,
             )
-            if gap <= cfg.gap_tol * max(abs(obj), 1.0):
+            if gap <= GAP_TOL * max(abs(obj), 1.0):
                 break
-            t *= cfg.mu
+            t *= MU
 
         # projected-gradient polish: exact-projection descent on the raw
         # objective, immune to the barrier's float64 centering wall — lands
         # every kernel and warm/cold start on the same optimum (the PG
         # solver does not support the frequency-capped feasible set)
         polish_iters = 0
-        if cfg.polish > 0 and p.min_available is None:
-            polished = ProjectedGradientSolver(
-                p, PGConfig(max_iter=cfg.polish, tol=1e-14, patience=40)
-            ).solve(x0=x)
+        if p.min_available is None:
+            polished = ProjectedGradientSolver(p, _POLISH_CONFIG).solve(x0=x)
             if polished.energy <= p.objective(x):
                 x = polished.x
                 polish_iters = polished.iterations

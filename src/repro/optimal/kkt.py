@@ -23,10 +23,6 @@ from .projected_gradient import project_columns
 __all__ = ["projection_residual", "verify_optimality", "active_constraints", "ActivityReport"]
 
 
-def _project(problem: ConvexProblem, y: np.ndarray) -> np.ndarray:
-    return project_columns(problem, y)
-
-
 def projection_residual(
     problem: ConvexProblem, x: np.ndarray, step: float = 1e-4
 ) -> float:
@@ -38,7 +34,7 @@ def projection_residual(
     if step <= 0:
         raise ValueError("step must be positive")
     g = problem.gradient(x)
-    moved = _project(problem, x - step * g)
+    moved = project_columns(problem, x - step * g)
     return float(np.max(np.abs(moved - x)) / step)
 
 

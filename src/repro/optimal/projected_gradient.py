@@ -119,38 +119,47 @@ class ProjectedGradientSolver:
         self.p = problem
         self.cfg = config or PGConfig()
 
-    def _project(self, y: np.ndarray) -> np.ndarray:
-        return project_columns(self.p, y)
-
     def solve(self, x0: np.ndarray | None = None) -> OptimalSolution:
-        """Run FISTA; returns the best feasible iterate found."""
+        """Run FISTA; returns the best feasible iterate found.
+
+        A step that does not lower the objective restarts the momentum, so
+        the next step is the plain projected-gradient step from the
+        incumbent; when that one does not lower the objective either, the
+        incumbent is stationary and the loop ends.  ``max_iter`` and the
+        ``tol``/``patience`` small-change rule stay as safety nets.
+        """
         p, cfg = self.p, self.cfg
-        project = self._project
         x = p.feasible_start() if x0 is None else np.array(x0, dtype=np.float64)
         z = x.copy()
         t_mom = 1.0
         L = cfg.l0
         fx = p.objective(x)
         small_steps = 0
+        restarted = False
         iters = 0
         for iters in range(1, cfg.max_iter + 1):
             g = p.gradient(z)
             fz = p.objective(z)
             # backtracking on the proximal upper bound at z
             while True:
-                cand = project(z - g / L)
+                cand = project_columns(p, z - g / L)
                 diff = cand - z
                 quad = fz + float(g @ diff) + 0.5 * L * float(diff @ diff)
                 f_cand = p.objective(cand)
                 if f_cand <= quad + 1e-12 * max(abs(quad), 1.0) or L > 1e18:
                     break
                 L *= cfg.eta
-            # adaptive restart (function-value based)
-            if f_cand > fx:
+            # adaptive restart (function-value based); a second refusal in a
+            # row came from the incumbent itself, which is then stationary
+            if f_cand >= fx:
+                if restarted:
+                    break
+                restarted = True
                 z = x.copy()
                 t_mom = 1.0
                 L /= cfg.eta  # relax L a bit after restart
                 continue
+            restarted = False
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
             z = cand + ((t_mom - 1.0) / t_next) * (cand - x)
             rel_change = abs(fx - f_cand) / max(abs(fx), 1.0)

@@ -15,7 +15,7 @@ and energy accounting at table powers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -21,7 +21,6 @@ All methods accept scalars or NumPy arrays and broadcast.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any
 
 __all__ = ["Event", "EventQueue", "SimulationClock"]
 

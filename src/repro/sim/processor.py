@@ -8,7 +8,7 @@ paper's ideal-core assumption); the executor layers validity checks on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

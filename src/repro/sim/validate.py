@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from ..core.schedule import Schedule
 
 __all__ = ["ViolationKind", "Violation", "validate_schedule", "assert_valid"]

@@ -16,7 +16,7 @@ no hidden global RNG anywhere in this repository.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

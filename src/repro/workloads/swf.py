@@ -20,7 +20,6 @@ traces can be produced for tests and examples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 from ..core.task import Task, TaskSet

@@ -33,7 +33,7 @@ class TestSummarize:
         assert s.nec is None
 
     def test_invalid_flagged(self, instance):
-        from repro.core import Schedule, Segment
+        from repro.core import Schedule
 
         sch, _ = instance
         base = sch.final("der").schedule

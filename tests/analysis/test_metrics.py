@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import NecAggregate, NecSample, SERIES, aggregate, nec
+from repro.analysis import NecSample, SERIES, aggregate, nec
 
 
 class TestNec:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.report import (
     FIGURE_CLAIMS,
-    Claim,
     generate_report,
     read_series_csv,
 )

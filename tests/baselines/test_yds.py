@@ -1,6 +1,5 @@
 """Unit tests for the YDS uniprocessor baseline."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import yds_schedule

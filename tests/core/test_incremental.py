@@ -10,7 +10,6 @@ from repro.core import (
     Task,
     TaskSet,
 )
-from repro.power import PolynomialPower
 from repro.sim import assert_valid
 from tests.conftest import random_instance
 from tests.oracles import batch_oracle, online_rebuild

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import PracticalScheduler, TaskSet
-from repro.power import DiscreteFrequencySet, PolynomialPower, xscale_frequency_set
+from repro.power import DiscreteFrequencySet, xscale_frequency_set
 from repro.sim import ViolationKind, execute_schedule, validate_schedule
 from repro.workloads import xscale_workload
 

@@ -1,6 +1,5 @@
 """Unit/behavioural tests for the SubintervalScheduler pipeline."""
 
-import numpy as np
 import pytest
 
 from repro.core import SubintervalScheduler, TaskSet, schedule_taskset

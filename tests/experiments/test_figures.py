@@ -5,7 +5,6 @@ shape the paper reports; the benchmarks regenerate them at full scale.
 """
 
 import numpy as np
-import pytest
 
 from repro.experiments import (
     core_selection_exp,

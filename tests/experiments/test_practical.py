@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Schedule, Segment, SubintervalScheduler, TaskSet
+from repro.core import Schedule, Segment, TaskSet
 from repro.experiments import discrete_evaluation, evaluate_practical
 from repro.power import DiscreteFrequencySet, PolynomialPower, xscale_frequency_set
 from repro.workloads import xscale_workload

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import PointSpec, evaluate_taskset, run_point, run_replication, sweep
-from repro.experiments.runner import SweepResult, _spawn_seeds
-from repro.power import PolynomialPower
+from repro.experiments.runner import _spawn_seeds
 from tests.conftest import random_instance
 
 
@@ -43,17 +42,18 @@ class TestEvaluate:
 
 
 class TestSolveExact:
-    def test_seeded_from_pg_and_equal_to_a_cold_solve(self):
+    def test_cold_and_bit_equal_to_solve_optimal(self):
         from repro.engine import Platform, SolveRequest
         from repro.experiments.runner import solve_exact
         from repro.optimal import solve_optimal
 
         tasks, power = random_instance(2, n=12)
         res = solve_exact(SolveRequest(tasks=tasks, platform=Platform(m=4, power=power)))
-        assert res.extras["warm_started"]
+        assert not res.extras["warm_started"]
         assert res.schedule is None  # the NEC needs the energy only
         cold = solve_optimal(tasks, 4, power)
-        assert abs(res.energy - cold.energy) <= 1e-9 * abs(cold.energy)
+        assert res.energy == cold.energy
+        np.testing.assert_array_equal(res.extras["available_times"], cold.available_times)
 
 
 class TestReplication:

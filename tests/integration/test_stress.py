@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import SubintervalScheduler, Task, TaskSet
+from repro.core import SubintervalScheduler, TaskSet
 from repro.optimal import solve_optimal
 from repro.power import PolynomialPower
 from repro.sim import assert_valid

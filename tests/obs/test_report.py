@@ -3,7 +3,6 @@
 import json
 
 from repro.obs.report import (
-    TraceView,
     cache_attribution,
     critical_path,
     format_trace_report,

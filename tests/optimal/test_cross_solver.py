@@ -6,7 +6,6 @@ import pytest
 from repro.core import Timeline
 from repro.optimal import (
     ConvexProblem,
-    ProjectedGradientSolver,
     solve_optimal,
     solve_with_scipy,
 )

@@ -15,11 +15,11 @@ from repro.obs import context as obs
 from repro.optimal import (
     ConvexProblem,
     InteriorPointSolver,
-    IPConfig,
     WarmStart,
     solve_optimal,
     solve_problem,
 )
+from repro.optimal.interior_point import GAP_TOL, MU
 from tests.conftest import random_instance
 
 
@@ -53,7 +53,7 @@ class TestTrace:
         # gap_k = n_ineq / t_k with t growing by exactly mu
         g = np.array([r.gap for r in centers])
         ratios = g[:-1] / g[1:]
-        np.testing.assert_allclose(ratios, IPConfig().mu)
+        np.testing.assert_allclose(ratios, MU)
 
     def test_objectives_monotone_toward_optimum(self, solution, centers):
         # the central path's objective decreases toward the optimum
@@ -68,8 +68,7 @@ class TestTrace:
         assert list(np.diff([0] + its)) == [r.newton_steps for r in centers]
 
     def test_final_gap_below_tolerance(self, solution, centers):
-        cfg = IPConfig()
-        assert centers[-1].gap <= cfg.gap_tol * max(abs(solution.energy), 1.0)
+        assert centers[-1].gap <= GAP_TOL * max(abs(solution.energy), 1.0)
 
 
 class TestProfileViews:

@@ -10,7 +10,6 @@ from repro.optimal import (
     realize_demands,
     solve_optimal,
 )
-from repro.power import PolynomialPower
 from tests.conftest import random_instance
 
 

@@ -7,11 +7,14 @@ from repro.core import SubintervalScheduler, TaskSet, Timeline
 from repro.optimal import (
     ConvexProblem,
     InteriorPointSolver,
-    IPConfig,
+    PGConfig,
     solve_optimal,
+    solve_problem,
     verify_optimality,
 )
 from repro.power import PolynomialPower
+from repro.workloads import paper_workload
+from repro.workloads.generator import PaperWorkloadConfig
 from tests.conftest import random_instance
 
 
@@ -93,16 +96,31 @@ class TestSolverProperties:
         with pytest.raises(ValueError, match="strictly feasible"):
             solver.solve(x0=np.zeros(prob.k))
 
-    def test_custom_config(self):
-        tasks, power = random_instance(3, n=6)
-        prob = ConvexProblem(Timeline(tasks), 2, power)
-        loose = InteriorPointSolver(prob, IPConfig(gap_tol=1e-4, mu=50.0)).solve()
-        tight = InteriorPointSolver(prob, IPConfig(gap_tol=1e-10)).solve()
-        assert loose.energy >= tight.energy - 1e-9
-        assert abs(loose.energy - tight.energy) < 1e-3 * tight.energy
-
     def test_iterations_reported(self):
         tasks, power = random_instance(4, n=6)
         sol = solve_optimal(tasks, 2, power)
         assert sol.iterations > 0
         assert sol.solver == "interior-point"
+
+    @pytest.mark.parametrize("solver", ["interior-point", "SLSQP"])
+    def test_config_reaches_projected_gradient_only(self, solver):
+        tasks, power = random_instance(0, n=5)
+        prob = ConvexProblem(Timeline(tasks), 2, power)
+        with pytest.raises(ValueError, match="projected-gradient"):
+            solve_problem(prob, solver, config=PGConfig())
+
+
+class TestPolish:
+    def test_paper_scale_polish_stops_early(self):
+        # Fig. 6's platform: the polish ends at a stationary iterate long
+        # before its 250-iteration ceiling and still lands on the dense
+        # kernel's optimum
+        rng = np.random.default_rng(7)
+        for p0 in (0.0, 0.1, 0.2):
+            tasks = paper_workload(rng, PaperWorkloadConfig(n_tasks=20))
+            power = PolynomialPower(alpha=3.0, static=p0)
+            prob = ConvexProblem(Timeline(tasks), 4, power)
+            cold = solve_problem(prob)
+            dense = solve_problem(prob, kernel="dense")
+            assert cold.profile.polish_iters <= 25
+            assert abs(cold.energy - dense.energy) <= 1e-13 * dense.energy

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.optimal import FlowResult, MaxFlowNetwork
+from repro.optimal import MaxFlowNetwork
 
 
 class TestBasicGraphs:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Timeline
-from repro.optimal import ConvexProblem, PGConfig, ProjectedGradientSolver
-from repro.power import PolynomialPower
+from repro.optimal import ConvexProblem, PGConfig, ProjectedGradientSolver, solve_optimal
 from tests.conftest import random_instance
 from tests.oracles import project_capped_box
 
@@ -83,3 +82,14 @@ class TestSolver:
         prob = ConvexProblem(Timeline(tasks), 2, power)
         sol = ProjectedGradientSolver(prob, PGConfig(max_iter=5)).solve()
         assert sol.iterations <= 5
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_stops_at_a_stationary_start(self, seed):
+        # started at the interior-point optimum, no step lowers the energy:
+        # one restart, then the plain projected step from the incumbent
+        # fails too and ends the loop
+        tasks, power = random_instance(seed, n=12)
+        opt = solve_optimal(tasks, 4, power)
+        sol = ProjectedGradientSolver(opt.problem).solve(x0=opt.x)
+        assert sol.iterations <= 3
+        assert sol.energy <= opt.energy

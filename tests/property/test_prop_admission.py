@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AdmissionController, Task
+from repro.core import AdmissionController
 from repro.power import PolynomialPower
 
 from .strategies import cores_strategy, tasks_strategy

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.power import DiscreteFrequencySet, PolynomialPower
+from repro.power import DiscreteFrequencySet
 from repro.power.fitting import fit_linear_given_alpha
 from tests.oracles import project_capped_box
 

@@ -5,7 +5,6 @@ task sets: every produced schedule is collision-free, meets all execution
 requirements inside windows, and obeys the documented energy orderings.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 

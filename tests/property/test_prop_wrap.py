@@ -1,7 +1,6 @@
 """Property tests: Algorithm 1 produces collision-free exact packings."""
 
-import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import wrap_schedule

@@ -1,6 +1,5 @@
 """Tests for periodic-task unrolling."""
 
-import numpy as np
 import pytest
 
 from repro.core import AdmissionController, SubintervalScheduler

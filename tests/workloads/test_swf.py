@@ -5,7 +5,7 @@ import pytest
 from repro.core import SubintervalScheduler
 from repro.power import PolynomialPower
 from repro.sim import assert_valid
-from repro.workloads.swf import SwfJob, parse_swf, taskset_from_swf, write_swf
+from repro.workloads.swf import parse_swf, taskset_from_swf, write_swf
 
 SAMPLE = """\
 ; Synthetic SWF trace for tests
