@@ -15,10 +15,18 @@ archived full run, ``BENCH_incremental_smoke.json`` for smoke runs):
 * the energies of both executed schedules, which must agree exactly —
   the session's plan matches the batch rebuild bit-for-bit.
 
+Its admission section replays a seeded ``_make_admit_stream`` (400
+arrivals) through ``AdmissionController(m=4, f_max=2)`` with
+``materialize=False`` and through the from-scratch
+``tests.oracles.admission_oracle``, and reports each one's per-admit p50
+by arrival band; any verdict disagreement fails hard, and the last band's
+p50 ratio is held to the same speedup gate.
+
 Two modes:
 
 * ``--smoke`` — a small stream with a *soft* speedup gate (default 2×,
-  lenient for noisy runners); any energy disagreement fails hard.
+  lenient for noisy runners) and 100 arrivals; any energy or verdict
+  disagreement fails hard.
 * default (full) — the headline n=1000 measurement behind the ≥5×
   acceptance gate; the rebuild engine alone takes minutes, so run
   manually and commit the JSON.
@@ -39,14 +47,18 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import OnlineSubintervalScheduler
+from repro.core import AdmissionController, OnlineSubintervalScheduler, Task
 from repro.power import PolynomialPower
+from repro.service.loadgen import _make_admit_stream
 from repro.workloads import paper_workload
 from repro.workloads.generator import PaperWorkloadConfig
-from tests.oracles import online_rebuild
+from tests.oracles import admission_oracle, online_rebuild
 
 _POWER = PolynomialPower(alpha=3.0, static=0.1)
 METHODS = ("even", "der")
+#: admission stream: arrival bands [lo, hi) whose per-admit p50 is reported
+ADMIT_BANDS = ((0, 50), (50, 100), (100, 200), (200, 400))
+ADMIT_M, ADMIT_F_MAX = 4, 2.0
 
 
 def _instance(n_tasks: int, seed: int):
@@ -111,6 +123,68 @@ def run_method(
     return report, regressions
 
 
+def _timed(verdicts) -> tuple[list[bool], list[float]]:
+    """Drain a verdict iterator, timing each step."""
+    out, secs = [], []
+    while True:
+        t0 = time.perf_counter()
+        verdict = next(verdicts, None)
+        if verdict is None:
+            return out, secs
+        secs.append(time.perf_counter() - t0)
+        out.append(verdict)
+
+
+def run_admission(n: int, seed: int, gate: float) -> tuple[dict, list[str]]:
+    """Live-flow admission against the from-scratch oracle, per arrival band."""
+    stream = _make_admit_stream(n, seed)
+    ctl = AdmissionController(ADMIT_M, _POWER, f_max=ADMIT_F_MAX)
+    live, live_s = _timed(
+        ctl.try_admit(Task(*row), materialize=False).accepted for row in stream
+    )
+    oracle, oracle_s = _timed(
+        accepted for accepted, _ in admission_oracle(stream, ADMIT_M, _POWER, ADMIT_F_MAX)
+    )
+    bands = []
+    for lo, hi in ADMIT_BANDS:
+        if lo >= n:
+            break
+        live_p50 = float(np.median(live_s[lo:hi])) * 1e3
+        oracle_p50 = float(np.median(oracle_s[lo:hi])) * 1e3
+        bands.append({
+            "arrivals": [lo, min(hi, n)],
+            "live_p50_ms": live_p50,
+            "oracle_p50_ms": oracle_p50,
+            "speedup": oracle_p50 / live_p50,
+        })
+        print(
+            f"  admit {lo:3d}-{min(hi, n):3d}: live p50 {live_p50:7.2f} ms, "
+            f"oracle p50 {oracle_p50:8.2f} ms, {oracle_p50 / live_p50:6.1f}x",
+            flush=True,
+        )
+    disagree = [k for k, (a, b) in enumerate(zip(live, oracle)) if a != b]
+    report = {
+        "arrivals": n,
+        "m": ADMIT_M,
+        "f_max": ADMIT_F_MAX,
+        "accepted": sum(live),
+        "live_total_s": sum(live_s),
+        "oracle_total_s": sum(oracle_s),
+        "bands": bands,
+        "verdict_disagreements": len(disagree),
+    }
+    regressions = [
+        f"admission: arrival {k} verdict {live[k]} but the oracle says {oracle[k]}"
+        for k in disagree
+    ]
+    if bands[-1]["speedup"] < gate:
+        regressions.append(
+            f"admission: last-band speedup {bands[-1]['speedup']:.2f}x below "
+            f"the {gate:.0f}x gate"
+        )
+    return report, regressions
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--smoke", action="store_true", help="small soft-gated run")
@@ -134,6 +208,10 @@ def main(argv: list[str] | None = None) -> int:
     for method in METHODS:
         methods[method], probs = run_method(tasks, args.m, method, gate)
         regressions.extend(probs)
+    arrivals = 100 if args.smoke else ADMIT_BANDS[-1][1]
+    print(f"admit stream: n={arrivals}, m={ADMIT_M}, seed={args.seed}", flush=True)
+    admission, probs = run_admission(arrivals, args.seed, gate)
+    regressions.extend(probs)
 
     report = {
         "benchmark": "incremental-session",
@@ -144,6 +222,7 @@ def main(argv: list[str] | None = None) -> int:
         "speedup_gate": gate,
         "headline_speedup": max(m["speedup"] for m in methods.values()),
         "methods": methods,
+        "admission": admission,
     }
     out = args.out
     if out is None:

@@ -14,6 +14,12 @@ exists **iff** those minimal demands are realizable
 exact, not a heuristic — and on acceptance the controller quotes the
 marginal energy of the updated S^F2 plan.
 
+Under a cap the controller keeps the committed tasks' maximum flow alive
+(:class:`~repro.optimal.flow.DemandFlow`): an arrival splits the columns
+its release and deadline cut, adds its row and augments from there, so a
+check costs a few residual-graph searches rather than a new max flow over
+every committed task.
+
 The controller is a thin driver over an incremental
 :class:`~repro.core.incremental.ScheduleSession`: each accepted task is a
 single ``add_task`` delta (recomputing only the subintervals its window
@@ -34,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..optimal.flow import realize_demands
+from ..obs import context as obs
+from ..optimal.flow import DemandFlow, realize_demands
 from ..power.models import PolynomialPower
 from .incremental import ScheduleSession
 from .scheduler import SchedulingResult
@@ -98,8 +105,13 @@ class AdmissionController:
         self.f_max = f_max
         self._committed: list[Task] = []
         self._session = ScheduleSession(self.m, power, method="der")
+        self._flow = DemandFlow(self.m)  # the committed tasks' max flow at f_max
 
     # -- inspection ------------------------------------------------------------------
+
+    def __len__(self) -> int:
+        """Number of committed tasks."""
+        return len(self._committed)
 
     @property
     def committed(self) -> TaskSet | None:
@@ -117,7 +129,11 @@ class AdmissionController:
         return self._session
 
     def is_schedulable(self, tasks: TaskSet) -> bool:
-        """Exact schedulability test under the frequency cap."""
+        """Exact schedulability test of an arbitrary set under the cap.
+
+        Stateless: builds a new flow network over ``tasks``.  Admission
+        does not call it; :meth:`try_admit` augments its live flow.
+        """
         if self.f_max is None:
             return True
         min_times = tasks.works / self.f_max
@@ -135,6 +151,7 @@ class AdmissionController:
         ``schedule`` stays ``None``), leaving the accept path a pure delta
         update plus an energy quote.
         """
+        flow = self._flow
         if self.f_max is not None:
             if task.work / self.f_max > task.window * (1 + 1e-12):
                 return AdmissionDecision(
@@ -144,8 +161,17 @@ class AdmissionController:
                         f"f_max={self.f_max:g} even in isolation"
                     ),
                 )
-            candidate = TaskSet([*self._committed, task])
-            if not self.is_schedulable(candidate):
+            with obs.traced("admission.check") as sp:
+                flow = flow.with_task(
+                    task.release, task.deadline, task.work / self.f_max
+                )
+                fits = flow.feasible
+                if sp is not None:
+                    sp.set("accepted", fits)
+                    sp.set("paths", flow.paths)
+                    sp.set("tasks", len(flow))
+                    sp.set("subintervals", flow.n_subintervals)
+            if not fits:
                 return AdmissionDecision(
                     accepted=False,
                     reason="no collision-free schedule at f_max fits all "
@@ -162,6 +188,7 @@ class AdmissionController:
             self._session.remove_task(handle)
             raise
         self._committed.append(task)
+        self._flow = flow
         return AdmissionDecision(
             accepted=True,
             reason="schedulable",
@@ -179,3 +206,4 @@ class AdmissionController:
         """Drop all committed tasks."""
         self._committed.clear()
         self._session = ScheduleSession(self.m, self.power, method="der")
+        self._flow = DemandFlow(self.m)

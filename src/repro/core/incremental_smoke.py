@@ -10,7 +10,14 @@ coverage, the allocation matrix, and the final energy must all be exactly
 equal, not merely close.  The accumulated delta wall time must also beat
 the accumulated rebuild wall time by the soft speedup gate (3x; the
 typical margin is far larger — the gate only catches gross regressions).
-Exit code 0 means every comparison held and the gate passed.
+
+A seeded 150-arrival stream then runs through a capped
+:class:`~repro.core.admission.AdmissionController`: every verdict of its
+live flow must equal the stateless
+:meth:`~repro.core.admission.AdmissionController.is_schedulable` test on
+the committed tasks plus the arrival, and ``try_admit`` must beat that
+from-scratch test by the same soft gate.
+Exit code 0 means every comparison held and both gates passed.
 """
 
 from __future__ import annotations
@@ -22,10 +29,13 @@ import numpy as np
 
 from ..power import PolynomialPower
 from ..smoke import Smoke, main
+from ..workloads import paper_workload
+from ..workloads.generator import PaperWorkloadConfig
+from .admission import AdmissionController
 from .allocation import METHODS
 from .incremental import ScheduleSession
 from .scheduler import SubintervalScheduler
-from .task import Task
+from .task import Task, TaskSet
 
 _EVENTS = 500
 # the delta advantage scales with the live-pool size; below ~50 tasks the
@@ -33,6 +43,7 @@ _EVENTS = 500
 # enough that the speedup gate measures the splice, not the fixed costs
 _MAX_LIVE = 80
 _SPEEDUP_GATE = 3.0
+_ARRIVALS = 150
 
 
 def _stream(seed: int):
@@ -114,10 +125,48 @@ def _check_method(smoke: Smoke, method: str, seed: int) -> None:
     )
 
 
+def _check_admission(smoke: Smoke, seed: int) -> None:
+    """Admit a §VI stream in release order on 4 cores at f_max = 2."""
+    rng = np.random.default_rng(seed)
+    stream = sorted(
+        paper_workload(rng, PaperWorkloadConfig(n_tasks=_ARRIVALS)),
+        key=lambda t: t.release,
+    )
+    ctl = AdmissionController(4, PolynomialPower(alpha=3.0, static=0.1), f_max=2.0)
+    committed: list[Task] = []
+    live_s = scratch_s = 0.0
+    for k, task in enumerate(stream):
+        t0 = time.perf_counter()
+        expected = ctl.is_schedulable(TaskSet([*committed, task]))
+        scratch_s += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        accepted = ctl.try_admit(task, materialize=False).accepted
+        live_s += time.perf_counter() - t0
+        if accepted != expected:
+            smoke.fail(
+                f"admission: arrival {k} verdict {accepted} but the "
+                f"from-scratch test says {expected}"
+            )
+            return
+        if accepted:
+            committed.append(task)
+    speedup = scratch_s / live_s if live_s > 0 else float("inf")
+    smoke.check(
+        speedup >= _SPEEDUP_GATE,
+        f"admission arrivals={_ARRIVALS} accepted={len(committed):3d} "
+        f"live={live_s * 1e3:7.1f}ms from-scratch={scratch_s * 1e3:7.1f}ms "
+        f"speedup={speedup:5.1f}x",
+        f"admission: live-flow speedup {speedup:.1f}x below the "
+        f"{_SPEEDUP_GATE:.0f}x gate (live {live_s:.3f}s, "
+        f"from-scratch {scratch_s:.3f}s)",
+    )
+
+
 def check(smoke: Smoke) -> None:
-    """Replay the seed-0 stream once per allocation policy."""
+    """Replay the seed-0 streams: once per allocation policy, then admission."""
     for method in METHODS:
         _check_method(smoke, method, seed=0)
+    _check_admission(smoke, seed=0)
 
 
 if __name__ == "__main__":  # pragma: no cover

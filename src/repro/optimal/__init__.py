@@ -22,7 +22,12 @@ from .interior_point import (
     InteriorPointSolver,
     KernelProfile,
 )
-from .flow import DemandRealization, check_demand_feasibility, realize_demands
+from .flow import (
+    DemandFlow,
+    DemandRealization,
+    check_demand_feasibility,
+    realize_demands,
+)
 from .kkt import (
     ActivityReport,
     active_constraints,
@@ -55,6 +60,7 @@ __all__ = [
     "ActivityReport",
     "MaxFlowNetwork",
     "FlowResult",
+    "DemandFlow",
     "DemandRealization",
     "check_demand_feasibility",
     "realize_demands",
@@ -99,8 +105,13 @@ def solve_problem(
 
     ``config`` tunes the projected-gradient backend only; any other backend
     given one raises ``ValueError``.  Remaining keywords reach the SciPy
-    methods (``tol``, ``max_iter``).
+    methods (``tol``, ``max_iter``); the interior-point and
+    projected-gradient backends read none, so they raise ``TypeError``.
     """
+    if kwargs and solver in ("interior-point", "projected-gradient"):
+        raise TypeError(
+            f"the {solver} solver takes no keyword(s) {', '.join(sorted(kwargs))}"
+        )
     if config is not None and solver != "projected-gradient":
         raise ValueError(
             f"config applies to the projected-gradient solver only, not {solver!r}"

@@ -13,19 +13,33 @@ collision-free schedule.  This gives an independent, combinatorial
 realization path for any solver's ``A`` — used by the test-suite to
 cross-validate the convex solvers, and by users to answer "could I give
 these tasks these durations at all?" without running an optimizer.
+
+:class:`DemandFlow` keeps one such flow alive across task arrivals, so a
+stream of feasibility tests (admission control) augments the previous
+flow instead of solving a new max flow per arrival.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.intervals import Timeline
 from ..core.task import TaskSet
-from .maxflow import MaxFlowNetwork
+from .maxflow import _EPS, MaxFlowNetwork
 
-__all__ = ["DemandRealization", "check_demand_feasibility", "realize_demands"]
+__all__ = [
+    "DemandFlow",
+    "DemandRealization",
+    "check_demand_feasibility",
+    "realize_demands",
+]
+
+
+def _saturated(flow: float, demand: float, rtol: float = 1e-9) -> bool:
+    """The saturation test: does a flow of ``flow`` meet ``demand``?"""
+    return flow >= demand * (1 - rtol) - 1e-12
 
 
 def _build_network(
@@ -106,8 +120,7 @@ def realize_demands(
     net, source_edges, middle = _build_network(timeline, m, demands)
     result = net.max_flow(0, len(tasks) + len(timeline) + 1)
 
-    total_demand = float(demands.sum())
-    feasible = result.value >= total_demand * (1 - rtol) - 1e-12
+    feasible = _saturated(result.value, float(demands.sum()), rtol)
 
     x = np.zeros((len(tasks), len(timeline)))
     for eid, i, j in middle:
@@ -132,3 +145,171 @@ def realize_demands(
         shortfall=shortfall,
         bottleneck_subintervals=bottleneck,
     )
+
+
+def _fit_column(y: np.ndarray, length: float, m: int) -> np.ndarray:
+    """Clamp one column's task flows to ``length`` each and ``m·length`` in sum."""
+    y = np.clip(y, 0.0, length)
+    cap = m * length
+    total = y.sum()
+    if total > cap:
+        y = y * (cap / total)
+        while y.sum() > cap:  # the rescaled sum may still round one ulp over
+            y = np.nextafter(y, 0.0)
+    return y
+
+
+def _cut(
+    b: np.ndarray, cov: np.ndarray, x: np.ndarray, v: float, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Insert boundary ``v``: split the column it cuts, flows in proportion."""
+    k = int(np.searchsorted(b, v))
+    if k < b.size and b[k] == v:
+        return b, cov, x
+    new_b = np.insert(b, k, v)
+    if b.size == 0:
+        return new_b, cov, x  # a single point spans no column yet
+    if k == 0 or k == b.size:
+        # outside the horizon: an empty column before or after it
+        j = 0 if k == 0 else b.size - 1
+        return (
+            new_b,
+            np.insert(cov, j, False, axis=1),
+            np.insert(x, j, 0.0, axis=1),
+        )
+    j = k - 1  # v cuts column j = [a, c] into [a, v] and [v, c]
+    a, c = b[j], b[k]
+    col = x[:, j]
+    left = _fit_column(col * ((v - a) / (c - a)), v - a, m)
+    right = _fit_column(col - left, c - v, m)
+    x = np.insert(x, k, right, axis=1)
+    x[:, j] = left
+    return new_b, np.insert(cov, k, cov[:, j], axis=1), x
+
+
+def _augment(
+    x: np.ndarray, cov: np.ndarray, lengths: np.ndarray, m: int, demands: np.ndarray
+) -> int:
+    """Augment ``x`` in place to a maximum flow; returns the paths pushed.
+
+    Each round is one breadth-first search of the residual
+    task/subinterval graph, from every task whose source edge is
+    unsaturated to the nearest level of columns with sink capacity left;
+    every path of that search tree into those columns is then pushed by
+    the residual it still has.
+    """
+    n, J = x.shape
+    open_below = lengths - _EPS
+    # source and sink residuals; a push changes them only at its two ends
+    short = demands - x.sum(axis=1)
+    spare = m * lengths - x.sum(axis=0)
+    paths = 0
+    while True:
+        seen_t = short > _EPS
+        if not seen_t.any():
+            return paths
+        seen_c = np.zeros(J, dtype=bool)
+        via_c = np.full(n, -1)  # the column each task was reached from; -1: a start
+        via_t = np.zeros(J, dtype=np.intp)  # the task each column was reached from
+        frontier = np.flatnonzero(seen_t)
+        ends = ()
+        while frontier.size:
+            fwd = cov[frontier] & (x[frontier] < open_below) & ~seen_c
+            cols = np.flatnonzero(fwd.any(axis=0))
+            if not cols.size:
+                break
+            via_t[cols] = frontier[fwd[:, cols].argmax(axis=0)]
+            seen_c[cols] = True
+            ends = cols[spare[cols] > _EPS].tolist()
+            if ends:
+                break
+            back = (x[:, cols] > _EPS) & ~seen_t[:, None]
+            frontier = np.flatnonzero(back.any(axis=1))
+            via_c[frontier] = cols[back[frontier].argmax(axis=1)]
+            seen_t[frontier] = True
+        if not ends:
+            return paths
+        unmet = int(np.count_nonzero(short > _EPS))
+        for end in ends:
+            # walk back to the start: +δ on forward edges, −δ on the
+            # backward ones (column j returning flow it had from task i);
+            # an earlier path of this round may have used up a shared edge
+            i = int(via_t[end])
+            forward, backward = [(i, end)], []
+            delta = min(spare[end], lengths[end] - x[i, end])
+            while delta > _EPS and via_c[i] >= 0:
+                j = int(via_c[i])
+                backward.append((i, j))
+                delta = min(delta, x[i, j])
+                i = int(via_t[j])
+                forward.append((i, j))
+                delta = min(delta, lengths[j] - x[i, j])
+            delta = min(delta, short[i])
+            if delta <= _EPS:
+                continue
+            for p, j in forward:
+                x[p, j] = min(x[p, j] + delta, lengths[j])
+            for p, j in backward:
+                x[p, j] = max(x[p, j] - delta, 0.0)
+            short[i] -= delta
+            spare[end] -= delta
+            paths += 1
+            if short[i] <= _EPS:
+                unmet -= 1
+                if not unmet:
+                    break
+
+
+@dataclass(frozen=True, eq=False)
+class DemandFlow:
+    """A maximum task→subinterval flow, kept alive across task arrivals.
+
+    The state of :func:`realize_demands`'s network for a growing task set:
+    the subinterval ``boundaries``, the ``coverage`` matrix, the per-task
+    ``demands`` and the flow ``x`` (the same ``x_{i,j}`` matrix
+    :func:`realize_demands` returns; a column sum is that column's sink
+    flow).  :meth:`with_task` never changes ``self``: it returns the
+    candidate state with one more task, whose max flow is found by
+    augmenting the current one, so the caller keeps whichever of the two
+    its verdict calls for.
+    """
+
+    m: int
+    boundaries: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    coverage: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=bool))
+    x: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    demands: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    paths: int = 0  # augmenting paths the arrival that built this state pushed
+
+    def __len__(self) -> int:
+        return self.demands.size
+
+    @property
+    def n_subintervals(self) -> int:
+        return self.x.shape[1]
+
+    @property
+    def feasible(self) -> bool:
+        """True iff the flow meets every demand (:func:`realize_demands`'s test)."""
+        return _saturated(float(self.x.sum()), float(self.demands.sum()))
+
+    def with_task(self, release: float, deadline: float, demand: float) -> "DemandFlow":
+        """The state with one more task, its flow augmented to a maximum.
+
+        A boundary that cuts a column ``[a, c]`` at ``v`` splits every flow
+        in it in proportion to the piece lengths, ``x·(v−a)/(c−a)`` and the
+        remainder, clamped so that no flow exceeds its piece and no column
+        exceeds ``m`` times its piece.  The split flow still respects every
+        capacity, so only paths from tasks whose source edge is unsaturated
+        (the new task, and any task that lost flow to the clamp) are
+        searched.
+        """
+        b, cov, x = self.boundaries, self.coverage, self.x
+        for v in (float(release), float(deadline)):
+            b, cov, x = _cut(b, cov, x, v, self.m)
+        row = (release <= b[:-1]) & (b[1:] <= deadline)
+        cov = np.vstack([cov, row])
+        x = np.vstack([x, np.zeros(row.size)])
+        demands = np.append(self.demands, float(demand))
+        paths = _augment(x, cov, np.diff(b), self.m, demands)
+        return DemandFlow(self.m, b, cov, x, demands, paths)

@@ -390,13 +390,14 @@ class SchedulingService:
             if req.task is None:
                 return 200, {
                     "reset": True,
-                    "committed": len(admission.committed or ()),
+                    "committed": len(admission),
                 }
             # carry the request's trace context onto the executor thread so
-            # the session.delta spans the admit emits land on this request's
-            # capture buffer (and therefore the stage_ms histograms); the
-            # response never ships the full plan, so materialization is
-            # skipped and the accept path is a pure delta update
+            # the admission.check and session.delta spans the admit emits
+            # land on this request's capture buffer (and therefore the
+            # stage_ms histograms); the response never ships the full plan,
+            # so materialization is skipped and the accept path is a pure
+            # delta update
             ctx = contextvars.copy_context()
             decision = await asyncio.get_running_loop().run_in_executor(
                 None,
@@ -405,7 +406,7 @@ class SchedulingService:
                     admission.try_admit, req.task, materialize=False
                 ),
             )
-            committed = len(admission.committed or ())
+            committed = len(admission)
             total_energy = admission.current_energy
         self.metrics.counter(
             "admissions_accepted" if decision.accepted else "admissions_rejected"
@@ -442,7 +443,7 @@ class SchedulingService:
         plan = session.plan()
         return {
             "peek": True,
-            "committed": len(admission.committed or ()),
+            "committed": len(admission),
             "energy": float(session.energy),
             "boundaries": [float(b) for b in session.boundaries],
             "x": [[float(v) for v in row] for row in plan.x],

@@ -31,6 +31,13 @@ def test_trust_constr_agrees():
     assert tc.energy == pytest.approx(ip.energy, rel=1e-3)
 
 
+@pytest.mark.parametrize("solver", ["interior-point", "projected-gradient"])
+def test_keywords_the_backend_never_reads_rejected(solver):
+    tasks, power = random_instance(0, n=8)
+    with pytest.raises(TypeError, match="bogus, max_iter, tol"):
+        solve_optimal(tasks, 2, power, solver, tol=1e-3, max_iter=1, bogus=5)
+
+
 def test_unknown_scipy_method_rejected():
     tasks, power = random_instance(7, n=4)
     prob = ConvexProblem(Timeline(tasks), 2, power)

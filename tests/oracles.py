@@ -11,7 +11,10 @@ batched or incrementally:
   at every release, behind the incremental session's delta re-plan;
 * :func:`batch_oracle` — a fresh batch scheduler over a session's rows;
 * :func:`project_capped_box` — the single-column bisection behind
-  :func:`repro.optimal.project_columns`.
+  :func:`repro.optimal.project_columns`;
+* :func:`admission_oracle` — capped admission with a new max flow per
+  arrival, behind :class:`~repro.core.admission.AdmissionController`'s
+  live flow.
 
 The tests and the benchmarks import this module; nothing under ``src/``
 does.
@@ -37,9 +40,11 @@ from repro.core import (
     allocate_evenly,
     wrap_schedule,
 )
+from repro.optimal import realize_demands
 from repro.power import PolynomialPower
 
 __all__ = [
+    "admission_oracle",
     "batch_oracle",
     "online_rebuild",
     "project_capped_box",
@@ -150,3 +155,34 @@ def project_capped_box(y: np.ndarray, upper: np.ndarray, cap: float) -> np.ndarr
         if hi - lo <= 1e-15 * max(hi, 1.0):
             break
     return np.clip(y - hi, 0.0, upper)
+
+
+def admission_oracle(stream, m: int, power: PolynomialPower, f_max: float | None):
+    """Capped admission with a from-scratch flow test at every arrival.
+
+    Yields ``(accepted, marginal_energy)`` per arrival of ``stream`` (tasks
+    or ``[release, deadline, work]`` rows), lazily so that callers can time
+    each one.  An arrival is checked by :func:`realize_demands` on a new
+    network over the committed tasks plus it, after the isolation test;
+    an accepted one joins a :class:`ScheduleSession`, whose energy
+    difference is the quote (``None`` on reject).
+    """
+    session = ScheduleSession(m, power, method="der")
+    committed: list[Task] = []
+    for task in stream:
+        if not isinstance(task, Task):
+            task = Task(*task)
+        candidate = TaskSet([*committed, task])
+        fits = f_max is None
+        if not fits:
+            demands = candidate.works / f_max
+            fits = not np.any(demands > candidate.windows * (1 + 1e-12)) and (
+                realize_demands(candidate, m, demands).feasible
+            )
+        if not fits:
+            yield False, None
+            continue
+        before = session.energy
+        session.add_task(task)
+        committed.append(task)
+        yield True, session.energy - before

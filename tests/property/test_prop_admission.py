@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core import AdmissionController
 from repro.power import PolynomialPower
+from tests.oracles import admission_oracle
 
 from .strategies import cores_strategy, tasks_strategy
 
@@ -50,3 +51,28 @@ def test_marginal_energies_telescope(tasks, m):
     decisions = ctl.admit_all(tasks)
     total = sum(d.marginal_energy for d in decisions if d.accepted)
     assert np.isclose(total, ctl.current_energy, rtol=1e-9)
+
+
+@given(
+    tasks_strategy(max_size=14),
+    cores_strategy,
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.lists(st.booleans(), min_size=14, max_size=14),
+)
+@settings(max_examples=60, deadline=None)
+def test_live_flow_verdicts_match_the_oracle(tasks, m, f_max, resets):
+    """Arrival streams with resets interleaved: every verdict (and quote)
+    equals the from-scratch flow test's, and ``len`` counts the accepted."""
+    ctl = AdmissionController(m, _POWER, f_max=f_max)
+    segments = [[]]
+    for task, reset in zip(tasks, resets):
+        if reset:
+            segments.append([])
+        segments[-1].append(task)
+    for k, segment in enumerate(segments):
+        if k:
+            ctl.reset()
+        decisions = [ctl.try_admit(t, materialize=False) for t in segment]
+        got = [(d.accepted, d.marginal_energy) for d in decisions]
+        assert got == list(admission_oracle(segment, m, _POWER, f_max))
+        assert len(ctl) == sum(a for a, _ in got)

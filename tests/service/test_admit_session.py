@@ -1,5 +1,6 @@
 """Session-backed admission: per-platform sessions, delta accounting, spans."""
 
+from repro.obs.report import load_spans
 from repro.service import ServiceConfig
 from repro.service.http11 import HttpClient, request_once
 from repro.service.loadgen import run_loadgen
@@ -89,17 +90,29 @@ class TestPerPlatformSessions:
 
         run_with_service(scenario)
 
-    def test_admit_emits_session_delta_spans(self):
+    def test_admit_emits_session_delta_spans(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+
         async def scenario(service):
-            await request_once(
-                "127.0.0.1", service.port, "POST", "/admit",
-                {"task": [0.0, 10.0, 4.0]},
-            )
+            # an accept, then a reject: the single core at f_max=1 is full
+            for _ in range(2):
+                await request_once(
+                    "127.0.0.1", service.port, "POST", "/admit",
+                    {"task": [0.0, 10.0, 10.0], "m": 1, "f_max": 1.0},
+                )
             snap = service.metrics.snapshot()
             hist = snap["histograms"].get("stage_ms:session.delta")
             assert hist is not None and hist["count"] >= 1
+            check = snap["histograms"].get("stage_ms:admission.check")
+            assert check is not None and check["count"] == 2
 
-        run_with_service(scenario)
+        run_with_service(scenario, _config(trace_path=str(path)))
+        checks = [sp for sp in load_spans(path) if sp["name"] == "admission.check"]
+        assert [sp["attrs"]["accepted"] for sp in checks] == [True, False]
+        # the accept pushes one path; the full core leaves the reject none
+        assert [sp["attrs"]["paths"] for sp in checks] == [1, 0]
+        assert [sp["attrs"]["tasks"] for sp in checks] == [1, 2]
+        assert [sp["attrs"]["subintervals"] for sp in checks] == [1, 1]
 
 
 class TestAdmitStreamLoadgen:
