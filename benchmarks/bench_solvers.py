@@ -2,7 +2,8 @@
 
 DESIGN.md calls out the structured interior-point solver as the reason the
 Monte-Carlo sweeps are tractable; this benchmark quantifies it against the
-projected-gradient and SciPy alternatives.
+projected-gradient and SciPy alternatives.  The max-flow demand
+realization is timed beside its Dinic oracle on the same instance.
 """
 
 import numpy as np
@@ -13,11 +14,13 @@ from repro.optimal import (
     ConvexProblem,
     InteriorPointSolver,
     ProjectedGradientSolver,
+    realize_demands,
     solve_with_scipy,
 )
 from repro.power import PolynomialPower
 from repro.workloads import paper_workload
 from repro.workloads.generator import PaperWorkloadConfig
+from tests.oracles import realize_demands_dinic
 
 
 @pytest.fixture(scope="module")
@@ -81,14 +84,22 @@ def test_scipy_slsqp(benchmark, problem, reference_energy):
 
 
 def test_flow_demand_realization(benchmark, problem):
-    """The combinatorial (max-flow) feasibility path used by admission
-    control — orders of magnitude cheaper than any optimizer."""
-    from repro.optimal import realize_demands
-
+    """The combinatorial (max-flow) feasibility path: the augmenting search
+    that admission control runs, here from an empty flow — orders of
+    magnitude cheaper than any optimizer."""
     tasks = problem.timeline.tasks
     demands = tasks.works / 2.0  # comfortably feasible at f = 2
 
     real = benchmark(lambda: realize_demands(tasks, problem.m, demands))
+    assert real.feasible
+
+
+def test_flow_demand_realization_dinic(benchmark, problem):
+    """The Dinic oracle on the instance and demands of the benchmark above."""
+    tasks = problem.timeline.tasks
+    demands = tasks.works / 2.0
+
+    real = benchmark(lambda: realize_demands_dinic(tasks, problem.m, demands))
     assert real.feasible
 
 

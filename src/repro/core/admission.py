@@ -131,8 +131,9 @@ class AdmissionController:
     def is_schedulable(self, tasks: TaskSet) -> bool:
         """Exact schedulability test of an arbitrary set under the cap.
 
-        Stateless: builds a new flow network over ``tasks``.  Admission
-        does not call it; :meth:`try_admit` augments its live flow.
+        Stateless: finds a max flow over ``tasks`` from an empty flow.
+        Admission does not call it; :meth:`try_admit` augments its live
+        flow.
         """
         if self.f_max is None:
             return True

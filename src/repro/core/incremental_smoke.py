@@ -16,7 +16,10 @@ A seeded 150-arrival stream then runs through a capped
 live flow must equal the stateless
 :meth:`~repro.core.admission.AdmissionController.is_schedulable` test on
 the committed tasks plus the arrival, and ``try_admit`` must beat that
-from-scratch test by the same soft gate.
+from-scratch test by the same soft gate.  Both run the same augmenting
+search, the stateless test from an empty flow, so this gate measures what
+keeping the flow alive saves; the comparison with an independent Dinic
+is the tier-1 tests' (``tests/oracles.py``).
 Exit code 0 means every comparison held and both gates passed.
 """
 

@@ -48,15 +48,15 @@ CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 _QUANTILES = ((50, "0.5"), (95, "0.95"), (99, "0.99"))
 
 
-def prom_name(base: str, namespace: str = "repro") -> str:
-    """Sanitized ``namespace_base`` metric family name."""
+def prom_name(base: str) -> str:
+    """Sanitized ``repro_base`` metric family name."""
     clean = "".join(
         ch if (ch.isascii() and (ch.isalnum() or ch == "_")) else "_"
         for ch in base
     )
     if not clean or clean[0].isdigit():
         clean = "_" + clean
-    return f"{namespace}_{clean}"
+    return f"repro_{clean}"
 
 
 def _split_labels(name: str) -> tuple[str, list[tuple[str, str]]]:
@@ -98,8 +98,7 @@ def _fmt(value) -> str:
 class _FamilyWriter:
     """Accumulates series per family so TYPE/HELP headers print once."""
 
-    def __init__(self, namespace: str):
-        self.namespace = namespace
+    def __init__(self):
         self._families: dict[str, tuple[str, str, list[str]]] = {}
 
     def add(
@@ -111,7 +110,7 @@ class _FamilyWriter:
         value,
         suffix: str = "",
     ) -> None:
-        family = prom_name(base, self.namespace)
+        family = prom_name(base)
         _, _, lines = self._families.setdefault(family, (kind, help_text, []))
         lines.append(f"{family}{suffix}{_label_str(labels)} {_fmt(value)}")
 
@@ -175,30 +174,19 @@ def _add_snapshot(
         )
 
 
-def render_prometheus(
-    snapshot: dict,
-    *,
-    namespace: str = "repro",
-    extra_gauges: dict | None = None,
-    const_labels: dict | None = None,
-) -> str:
+def render_prometheus(snapshot: dict, *, extra_gauges: dict | None = None) -> str:
     """Render a registry snapshot in Prometheus text exposition format.
 
     ``extra_gauges`` lets the caller fold in point-in-time numbers that
     live outside the registry (uptime, cache entries, batcher backlog)
     without mutating it; keys follow the same colon convention.
-    ``const_labels`` are stamped onto every rendered series.
     """
-    w = _FamilyWriter(namespace)
-    _add_snapshot(w, snapshot, extra_gauges, list((const_labels or {}).items()))
-    return w.render()
+    return render_prometheus_multi(
+        [{"snapshot": snapshot, "extra_gauges": extra_gauges}]
+    )
 
 
-def render_prometheus_multi(
-    sections: list[dict],
-    *,
-    namespace: str = "repro",
-) -> str:
+def render_prometheus_multi(sections: list[dict]) -> str:
     """Merge several registry snapshots into one valid exposition page.
 
     Each section is ``{"snapshot": ..., "extra_gauges": ...?, "labels":
@@ -207,7 +195,7 @@ def render_prometheus_multi(
     prints its ``# HELP``/``# TYPE`` header exactly once — concatenating
     per-shard pages would repeat headers, which scrapers reject.
     """
-    w = _FamilyWriter(namespace)
+    w = _FamilyWriter()
     for section in sections:
         _add_snapshot(
             w,

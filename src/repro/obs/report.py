@@ -8,9 +8,9 @@ questions a latency investigation starts with:
   aggregated into count / mean / p50 / p95 / max milliseconds, plus the
   derived queue → solve → pack → validate stage view of scheduled
   requests;
-* **what's the critical path?** — for the slowest traces, the chain of
-  spans from the root to the last thing that finished, with self-time
-  attribution per link;
+* **what's the critical path?** — for the slowest traces, the spans the
+  request waited on, from the root down to the last thing that finished,
+  with self-time attribution per link;
 * **did the cache help?** — hit/miss attribution: how many requests were
   answered from the plan cache, and the p50 latency of each population.
 
@@ -22,6 +22,7 @@ worker died before reporting and no retry landed) are counted as
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from ..service.protocol import base_path
@@ -162,38 +163,70 @@ def stage_breakdown(spans: list[dict]) -> dict[str, dict]:
     return {name: _stats(vals) for name, vals in sorted(by_name.items())}
 
 
-def critical_path(trace: TraceView) -> list[tuple[dict, float]]:
-    """Root-to-leaf chain through the latest-finishing child, with self time.
+#: a child that ends within this many ulps of its next sibling's start
+#: counts as sequential with it (a span's end is ``start + dur_ms``, one
+#: rounding away from the instant the next span started)
+_TIE_ULPS = 4
 
-    Each link's *self time* is its duration minus the duration of the
-    child the path descends into — the part of the wait this span alone
-    is responsible for.  Spans whose children were lost (crashed worker)
-    simply terminate the chain early.
+
+def _end(sp: dict) -> float:
+    return sp.get("start", 0.0) + sp.get("dur_ms", 0.0) / 1e3
+
+
+def _sequential_chain(kids: list[dict]) -> list[dict]:
+    """The children on the path, in start order.
+
+    The latest finisher, then — walking back — the latest-finishing child
+    that ended before the on-path sibling after it began.
+    """
+    chain: list[dict] = []
+    while kids:
+        last = max(kids, key=_end)
+        chain.append(last)
+        begin = last.get("start", 0.0)
+        limit = begin + _TIE_ULPS * math.ulp(begin)
+        kids = [k for k in kids if k is not last and _end(k) <= limit]
+    return chain[::-1]
+
+
+def _self_ms(sp: dict, kids: list[dict]) -> float:
+    """``sp``'s duration minus the union of its children's intervals."""
+    start, dur = sp.get("start", 0.0), float(sp.get("dur_ms", 0.0))
+    covered = reach = 0.0  # ms since ``start``, clipped to the span
+    for k in kids:  # in start order
+        offset = (k.get("start", 0.0) - start) * 1e3
+        lo, hi = max(offset, reach), min(offset + k.get("dur_ms", 0.0), dur)
+        if hi > lo:
+            covered += hi - lo
+            reach = hi
+    return round(max(dur - covered, 0.0), 4)
+
+
+def critical_path(trace: TraceView) -> list[tuple[dict, float]]:
+    """Root-to-leaf chain of the spans the request waited on, with self time.
+
+    Under each span the path takes the latest-finishing child and every
+    child that ended before the next on-path sibling began, in start
+    order, and descends into each of them.  A link's *self time* is its
+    duration minus the union of its children's intervals — the part of
+    the wait this span alone is responsible for.  Spans whose children
+    were lost (crashed worker) simply terminate the chain early.
     """
     root = trace.root
     if root is None:
         return []
-    path: list[dict] = [root]
-    seen = {root["span_id"]}
-    current = root
-    while True:
-        kids = [
-            k
-            for k in trace.children(current["span_id"])
-            if k["span_id"] not in seen
-        ]
-        if not kids:
-            break
-        current = max(
-            kids, key=lambda s: s.get("start", 0.0) + s.get("dur_ms", 0.0) / 1e3
-        )
-        seen.add(current["span_id"])
-        path.append(current)
     out: list[tuple[dict, float]] = []
-    for i, sp in enumerate(path):
-        child_dur = float(path[i + 1].get("dur_ms", 0.0)) if i + 1 < len(path) else 0.0
-        self_ms = max(float(sp.get("dur_ms", 0.0)) - child_dur, 0.0)
-        out.append((sp, round(self_ms, 4)))
+    seen = {root["span_id"]}
+    stack = [root]
+    while stack:
+        sp = stack.pop()
+        kids = trace.children(sp["span_id"])
+        out.append((sp, _self_ms(sp, kids)))
+        kids = [k for k in kids if k["span_id"] not in seen]
+        if kids:
+            chain = _sequential_chain(kids)
+            seen.update(k["span_id"] for k in chain)
+            stack.extend(reversed(chain))
     return out
 
 

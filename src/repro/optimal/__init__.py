@@ -22,19 +22,13 @@ from .interior_point import (
     InteriorPointSolver,
     KernelProfile,
 )
-from .flow import (
-    DemandFlow,
-    DemandRealization,
-    check_demand_feasibility,
-    realize_demands,
-)
+from .flow import DemandFlow, DemandRealization, realize_demands
 from .kkt import (
     ActivityReport,
     active_constraints,
     projection_residual,
     verify_optimality,
 )
-from .maxflow import FlowResult, MaxFlowNetwork
 from .projected_gradient import PGConfig, ProjectedGradientSolver, project_columns
 from .scipy_solver import solve_with_scipy
 from .warm import WarmStart, repair_warm_start
@@ -58,11 +52,8 @@ __all__ = [
     "verify_optimality",
     "active_constraints",
     "ActivityReport",
-    "MaxFlowNetwork",
-    "FlowResult",
     "DemandFlow",
     "DemandRealization",
-    "check_demand_feasibility",
     "realize_demands",
     "WarmStart",
     "repair_warm_start",

@@ -9,14 +9,18 @@ task/subinterval network:
 A demand vector ``A`` (total execution time per task) is *feasible* iff the
 max flow saturates all source edges; the flow values on the middle edges are
 then exactly a valid ``x_{i,j}`` matrix, which Algorithm 1 turns into a
-collision-free schedule.  This gives an independent, combinatorial
-realization path for any solver's ``A`` — used by the test-suite to
-cross-validate the convex solvers, and by users to answer "could I give
-these tasks these durations at all?" without running an optimizer.
+collision-free schedule.  This gives a combinatorial realization path for
+any solver's ``A``: the capped solver's phase-1 start, the stateless
+admission test, and users asking "could I give these tasks these
+durations at all?" without running an optimizer.
 
-:class:`DemandFlow` keeps one such flow alive across task arrivals, so a
-stream of feasibility tests (admission control) augments the previous
-flow instead of solving a new max flow per arrival.
+One kernel finds every maximum flow here: :func:`_augment`, a vectorised
+augmenting-path search over the ``x`` matrix itself.
+:func:`realize_demands` runs it once from an empty flow;
+:class:`DemandFlow` keeps one flow alive across task arrivals, so a stream
+of feasibility tests (admission control) augments the previous flow
+instead of solving a new max flow per arrival.  The test suite checks
+both against an independent Dinic (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -27,43 +31,20 @@ import numpy as np
 
 from ..core.intervals import Timeline
 from ..core.task import TaskSet
-from .maxflow import _EPS, MaxFlowNetwork
 
 __all__ = [
     "DemandFlow",
     "DemandRealization",
-    "check_demand_feasibility",
     "realize_demands",
 ]
+
+#: residual capacities at or below this count as saturated
+_EPS = 1e-12
 
 
 def _saturated(flow: float, demand: float, rtol: float = 1e-9) -> bool:
     """The saturation test: does a flow of ``flow`` meet ``demand``?"""
     return flow >= demand * (1 - rtol) - 1e-12
-
-
-def _build_network(
-    timeline: Timeline, m: int, demands: np.ndarray
-) -> tuple[MaxFlowNetwork, list[int], list[tuple[int, int, int]]]:
-    """Construct the flow network; returns (net, source edge ids, middle edges)."""
-    n = len(timeline.tasks)
-    J = len(timeline)
-    # nodes: 0 = source, 1..n = tasks, n+1..n+J = subintervals, n+J+1 = sink
-    source, sink = 0, n + J + 1
-    net = MaxFlowNetwork(n + J + 2)
-    source_edges = []
-    for i in range(n):
-        source_edges.append(net.add_edge(source, 1 + i, float(demands[i])))
-    middle: list[tuple[int, int, int]] = []  # (edge id, task, subinterval)
-    lengths = timeline.lengths
-    cov = timeline.coverage
-    for i in range(n):
-        for j in np.flatnonzero(cov[i]):
-            eid = net.add_edge(1 + i, 1 + n + int(j), float(lengths[j]))
-            middle.append((eid, i, int(j)))
-    for j in range(J):
-        net.add_edge(1 + n + j, sink, float(m * lengths[j]))
-    return net, source_edges, middle
 
 
 @dataclass(frozen=True)
@@ -74,13 +55,6 @@ class DemandRealization:
     x: np.ndarray  # (n, J) realized execution times (partial if infeasible)
     shortfall: np.ndarray  # per-task unmet demand
     bottleneck_subintervals: tuple[int, ...]  # min-cut side (when infeasible)
-
-
-def check_demand_feasibility(
-    tasks: TaskSet, m: int, demands, rtol: float = 1e-9
-) -> bool:
-    """True iff the demand vector ``A`` admits a valid ``x_{i,j}``."""
-    return realize_demands(tasks, m, demands, rtol=rtol).feasible
 
 
 def realize_demands(
@@ -117,32 +91,16 @@ def realize_demands(
         raise ValueError("a demand exceeds its task's window (never realizable)")
 
     timeline = Timeline(tasks)
-    net, source_edges, middle = _build_network(timeline, m, demands)
-    result = net.max_flow(0, len(tasks) + len(timeline) + 1)
-
-    feasible = _saturated(result.value, float(demands.sum()), rtol)
-
     x = np.zeros((len(tasks), len(timeline)))
-    for eid, i, j in middle:
-        x[i, j] = max(result.edge_flows[eid], 0.0)
-
-    realized = np.array([result.edge_flows[e] for e in source_edges])
-    shortfall = np.maximum(demands - realized, 0.0)
-
-    bottleneck: tuple[int, ...] = ()
-    if not feasible:
-        # a subinterval is congested when its sink edge lies on the min cut,
-        # i.e. the subinterval node is still reachable in the residual graph
-        reach = net.min_cut_reachable(0)
-        n = len(tasks)
-        bottleneck = tuple(
-            j for j in range(len(timeline)) if reach[1 + n + j]
-        )
-
+    _, reached = _augment(x, timeline.coverage, timeline.lengths, m, demands)
+    feasible = _saturated(float(x.sum()), float(demands.sum()), rtol)
+    # a subinterval is congested when its sink edge lies on the min cut,
+    # i.e. the last (failed) search still reached it in the residual graph
+    bottleneck = () if feasible else tuple(np.flatnonzero(reached).tolist())
     return DemandRealization(
         feasible=feasible,
         x=x,
-        shortfall=shortfall,
+        shortfall=np.maximum(demands - x.sum(axis=1), 0.0),
         bottleneck_subintervals=bottleneck,
     )
 
@@ -189,14 +147,18 @@ def _cut(
 
 def _augment(
     x: np.ndarray, cov: np.ndarray, lengths: np.ndarray, m: int, demands: np.ndarray
-) -> int:
-    """Augment ``x`` in place to a maximum flow; returns the paths pushed.
+) -> tuple[int, np.ndarray]:
+    """Augment ``x`` in place to a maximum flow.
 
     Each round is one breadth-first search of the residual
     task/subinterval graph, from every task whose source edge is
     unsaturated to the nearest level of columns with sink capacity left;
     every path of that search tree into those columns is then pushed by
     the residual it still has.
+
+    Returns the number of paths pushed and the columns the last search
+    reached without finding sink capacity: the subinterval side of a
+    minimum cut (none when every demand is met).
     """
     n, J = x.shape
     open_below = lengths - _EPS
@@ -207,7 +169,7 @@ def _augment(
     while True:
         seen_t = short > _EPS
         if not seen_t.any():
-            return paths
+            return paths, np.zeros(J, dtype=bool)
         seen_c = np.zeros(J, dtype=bool)
         via_c = np.full(n, -1)  # the column each task was reached from; -1: a start
         via_t = np.zeros(J, dtype=np.intp)  # the task each column was reached from
@@ -228,7 +190,7 @@ def _augment(
             via_c[frontier] = cols[back[frontier].argmax(axis=1)]
             seen_t[frontier] = True
         if not ends:
-            return paths
+            return paths, seen_c
         unmet = int(np.count_nonzero(short > _EPS))
         for end in ends:
             # walk back to the start: +δ on forward edges, −δ on the
@@ -311,5 +273,5 @@ class DemandFlow:
         cov = np.vstack([cov, row])
         x = np.vstack([x, np.zeros(row.size)])
         demands = np.append(self.demands, float(demand))
-        paths = _augment(x, cov, np.diff(b), self.m, demands)
+        paths, _ = _augment(x, cov, np.diff(b), self.m, demands)
         return DemandFlow(self.m, b, cov, x, demands, paths)

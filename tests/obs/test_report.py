@@ -1,6 +1,7 @@
 """The ``repro trace`` analyzer: loading, grouping, stages, critical path."""
 
 import json
+import math
 
 from repro.obs.report import (
     cache_attribution,
@@ -119,17 +120,41 @@ class TestAggregation:
     def test_critical_path_descends_latest_finisher_with_self_time(self):
         (tv,) = group_traces(_scheduled_trace())
         path = critical_path(tv)
+        # the probe and the queue wait ended before the next on-path
+        # sibling began, so the request waited on them too
         assert [sp["name"] for sp, _ in path] == [
             "service.request",
+            "cache.probe",
+            "batch.queue",
             "pool.solve",
             "engine.solve",
             "solver:subinterval-der",
         ]
-        # each link's self time = dur minus the descended child's dur
+        # each link's self time = dur minus the union of its children
         self_by_name = {sp["name"]: self_ms for sp, self_ms in path}
-        assert self_by_name["service.request"] == 3.0  # 12 - 9
+        assert self_by_name["service.request"] == 0.95  # 12 - 9 - 2 - 0.05
+        assert self_by_name["cache.probe"] == 0.05  # leaf
+        assert self_by_name["batch.queue"] == 2.0  # leaf
+        assert self_by_name["pool.solve"] == 1.0  # 9 - 8
         assert self_by_name["engine.solve"] == 1.0  # 8 - 7
         assert self_by_name["solver:subinterval-der"] == 7.0  # leaf
+
+    def test_critical_path_skips_overlapping_children(self):
+        base = 100.0
+        spans = [
+            _sp("service.request", _T1, "r", None, base, 10.0),
+            _sp("a", _T1, "a", "r", base, 4.0),
+            _sp("b", _T1, "b", "r", base + 0.001, 2.0),
+            # starts 0.5 ms before a ends: concurrent with a, after b
+            _sp("c", _T1, "c", "r", base + 0.0035, 4.5),
+            # starts one ulp before c ends: a float tie, so sequential
+            _sp("d", _T1, "d", "r", math.nextafter(base + 0.008, 0.0), 1.0),
+        ]
+        (tv,) = group_traces(spans)
+        path = critical_path(tv)
+        assert [sp["name"] for sp, _ in path] == ["service.request", "b", "c", "d"]
+        # the children cover [0, 4] u [1, 3] u [3.5, 8] u [8, 9]: 9 of 10 ms
+        assert path[0][1] == 1.0
 
     def test_cache_attribution_populations(self):
         for path in _PATHS:

@@ -5,38 +5,34 @@ import pytest
 
 from repro.core import SubintervalScheduler, TaskSet, Timeline
 from repro.core.wrap_schedule import wrap_schedule
-from repro.optimal import (
-    DemandFlow,
-    check_demand_feasibility,
-    realize_demands,
-    solve_optimal,
-)
+from repro.optimal import DemandFlow, realize_demands, solve_optimal
 from tests.conftest import random_instance
+from tests.oracles import realize_demands_dinic
 
 
 class TestFeasibility:
     def test_zero_demands_feasible(self):
         tasks = TaskSet.from_tuples([(0, 4, 1), (0, 4, 1)])
-        assert check_demand_feasibility(tasks, 1, [0.0, 0.0])
+        assert realize_demands(tasks, 1, [0.0, 0.0]).feasible
 
     def test_full_windows_on_enough_cores(self):
         tasks = TaskSet.from_tuples([(0, 4, 1), (0, 4, 1)])
-        assert check_demand_feasibility(tasks, 2, [4.0, 4.0])
+        assert realize_demands(tasks, 2, [4.0, 4.0]).feasible
 
     def test_overload_detected(self):
         # two full-window demands on one core: impossible
         tasks = TaskSet.from_tuples([(0, 4, 1), (0, 4, 1)])
-        assert not check_demand_feasibility(tasks, 1, [4.0, 4.0])
+        assert not realize_demands(tasks, 1, [4.0, 4.0]).feasible
 
     def test_exact_capacity_boundary(self):
         # 2 + 2 = 4 = 1 core x 4: exactly feasible
         tasks = TaskSet.from_tuples([(0, 4, 1), (0, 4, 1)])
-        assert check_demand_feasibility(tasks, 1, [2.0, 2.0])
+        assert realize_demands(tasks, 1, [2.0, 2.0]).feasible
 
     def test_demand_exceeding_window_rejected(self):
         tasks = TaskSet.from_tuples([(0, 4, 1)])
         with pytest.raises(ValueError, match="window"):
-            check_demand_feasibility(tasks, 2, [5.0])
+            realize_demands(tasks, 2, [5.0])
 
     def test_validation(self):
         tasks = TaskSet.from_tuples([(0, 4, 1)])
@@ -78,7 +74,7 @@ class TestRealization:
         cross-validation of two entirely different formulations."""
         tasks, power = random_instance(2, n=10)
         opt = solve_optimal(tasks, 4, power)
-        assert check_demand_feasibility(tasks, 4, opt.available_times, rtol=1e-6)
+        assert realize_demands(tasks, 4, opt.available_times, rtol=1e-6).feasible
 
     def test_infeasible_reports_shortfall_and_bottleneck(self):
         tasks = TaskSet.from_tuples([(0, 4, 1), (0, 4, 1), (0, 4, 1)])
@@ -131,7 +127,8 @@ class TestDemandFlow:
     @pytest.mark.parametrize("seed", range(4))
     def test_max_flow_value_matches_a_fresh_network(self, seed):
         """Every arrival kept, feasible or not: the augmented flow is a
-        maximum flow of the network over all tasks so far."""
+        maximum flow of the network over all tasks so far, as the Dinic
+        oracle finds it on a new network."""
         tasks, _ = random_instance(seed, n=14)
         m = 2
         demands = tasks.works / 2.0
@@ -141,7 +138,7 @@ class TestDemandFlow:
             prefix = TaskSet(list(tasks)[: k + 1])
             # a demand above its window cannot be met either way; the fresh
             # network refuses one, so cap it there (its flow is the same)
-            fresh = realize_demands(
+            fresh = realize_demands_dinic(
                 prefix, m, np.minimum(demands[: k + 1], prefix.windows)
             )
             if np.all(demands[: k + 1] <= prefix.windows):

@@ -1,9 +1,9 @@
-"""Unit tests for the from-scratch Dinic max-flow solver."""
+"""Unit tests for the from-scratch Dinic max-flow solver (the flow oracle)."""
 
 import numpy as np
 import pytest
 
-from repro.optimal import MaxFlowNetwork
+from tests.oracles import MaxFlowNetwork
 
 
 class TestBasicGraphs:

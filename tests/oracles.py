@@ -12,8 +12,11 @@ batched or incrementally:
 * :func:`batch_oracle` — a fresh batch scheduler over a session's rows;
 * :func:`project_capped_box` — the single-column bisection behind
   :func:`repro.optimal.project_columns`;
-* :func:`admission_oracle` — capped admission with a new max flow per
-  arrival, behind :class:`~repro.core.admission.AdmissionController`'s
+* :class:`MaxFlowNetwork` and :func:`realize_demands_dinic` — Dinic's
+  max flow on a freshly built task/subinterval network, behind
+  :func:`repro.optimal.realize_demands`'s augmenting search;
+* :func:`admission_oracle` — capped admission with a new Dinic max flow
+  per arrival, behind :class:`~repro.core.admission.AdmissionController`'s
   live flow.
 
 The tests and the benchmarks import this module; nothing under ``src/``
@@ -21,6 +24,8 @@ does.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,14 +45,18 @@ from repro.core import (
     allocate_evenly,
     wrap_schedule,
 )
-from repro.optimal import realize_demands
+from repro.optimal import DemandRealization
+from repro.optimal.flow import _EPS, _saturated
 from repro.power import PolynomialPower
 
 __all__ = [
+    "FlowResult",
+    "MaxFlowNetwork",
     "admission_oracle",
     "batch_oracle",
     "online_rebuild",
     "project_capped_box",
+    "realize_demands_dinic",
     "scalar_plan",
     "scalar_slots",
 ]
@@ -157,13 +166,208 @@ def project_capped_box(y: np.ndarray, upper: np.ndarray, cap: float) -> np.ndarr
     return np.clip(y - hi, 0.0, upper)
 
 
+# -- Dinic's maximum flow ---------------------------------------------------------
+#
+# The paper's related work ([2] Albers et al., [4] Angel et al.) solves the
+# zero-static-power multiprocessor problem via repeated maximum flows on a
+# task/interval bipartite network.  This is the flow substrate written from
+# scratch (no networkx): Dinic with BFS level graphs and DFS blocking flows.
+# Capacities are floats; a relative epsilon guards the saturation tests,
+# which is sufficient here because every capacity derives from a handful of
+# additions of task/interval lengths.
+
+
+@dataclass
+class _Edge:
+    to: int
+    capacity: float
+    flow: float
+    rev: int  # index of the reverse edge in adj[to]
+
+    @property
+    def residual(self) -> float:
+        return self.capacity - self.flow
+
+
+@dataclass(frozen=True)
+class FlowResult:
+    """Outcome of a max-flow computation."""
+
+    value: float
+    # flows on the *forward* edges, in insertion order
+    edge_flows: tuple[float, ...]
+
+
+class MaxFlowNetwork:
+    """A capacitated directed graph with a Dinic max-flow solver."""
+
+    def __init__(self, n_nodes: int):
+        if n_nodes < 2:
+            raise ValueError("need at least 2 nodes")
+        self.n = n_nodes
+        self.adj: list[list[_Edge]] = [[] for _ in range(n_nodes)]
+        self._forward: list[tuple[int, int]] = []  # (node, index in adj[node])
+
+    def add_edge(self, u: int, v: int, capacity: float) -> int:
+        """Add a directed edge; returns its id (for flow readback)."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError("node out of range")
+        if u == v:
+            raise ValueError("self-loops not supported")
+        if capacity < 0:
+            raise ValueError("capacity must be nonnegative")
+        fwd = _Edge(to=v, capacity=float(capacity), flow=0.0, rev=len(self.adj[v]))
+        bwd = _Edge(to=u, capacity=0.0, flow=0.0, rev=len(self.adj[u]))
+        self.adj[u].append(fwd)
+        self.adj[v].append(bwd)
+        self._forward.append((u, len(self.adj[u]) - 1))
+        return len(self._forward) - 1
+
+    def _bfs_levels(self, s: int, t: int) -> list[int] | None:
+        levels = [-1] * self.n
+        levels[s] = 0
+        queue = [s]
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            for e in self.adj[u]:
+                if levels[e.to] < 0 and e.residual > _EPS:
+                    levels[e.to] = levels[u] + 1
+                    queue.append(e.to)
+        return levels if levels[t] >= 0 else None
+
+    def _dfs_push(
+        self, u: int, t: int, pushed: float, levels: list[int], it: list[int]
+    ) -> float:
+        if u == t:
+            return pushed
+        while it[u] < len(self.adj[u]):
+            e = self.adj[u][it[u]]
+            if levels[e.to] == levels[u] + 1 and e.residual > _EPS:
+                got = self._dfs_push(
+                    e.to, t, min(pushed, e.residual), levels, it
+                )
+                if got > _EPS:
+                    e.flow += got
+                    self.adj[e.to][e.rev].flow -= got
+                    return got
+            it[u] += 1
+        return 0.0
+
+    def max_flow(self, source: int, sink: int) -> FlowResult:
+        """Run Dinic from ``source`` to ``sink`` (resets nothing; call once)."""
+        if source == sink:
+            raise ValueError("source must differ from sink")
+        total = 0.0
+        while True:
+            levels = self._bfs_levels(source, sink)
+            if levels is None:
+                break
+            it = [0] * self.n
+            while True:
+                pushed = self._dfs_push(source, sink, float("inf"), levels, it)
+                if pushed <= _EPS:
+                    break
+                total += pushed
+        flows = tuple(self.adj[u][i].flow for (u, i) in self._forward)
+        return FlowResult(value=total, edge_flows=flows)
+
+    def min_cut_reachable(self, source: int) -> list[bool]:
+        """After :meth:`max_flow`: residual reachability (the min-cut side)."""
+        seen = [False] * self.n
+        seen[source] = True
+        stack = [source]
+        while stack:
+            u = stack.pop()
+            for e in self.adj[u]:
+                if not seen[e.to] and e.residual > _EPS:
+                    seen[e.to] = True
+                    stack.append(e.to)
+        return seen
+
+
+def _build_network(
+    timeline: Timeline, m: int, demands: np.ndarray
+) -> tuple[MaxFlowNetwork, list[int], list[tuple[int, int, int]]]:
+    """Construct the flow network; returns (net, source edge ids, middle edges)."""
+    n = len(timeline.tasks)
+    J = len(timeline)
+    # nodes: 0 = source, 1..n = tasks, n+1..n+J = subintervals, n+J+1 = sink
+    source, sink = 0, n + J + 1
+    net = MaxFlowNetwork(n + J + 2)
+    source_edges = []
+    for i in range(n):
+        source_edges.append(net.add_edge(source, 1 + i, float(demands[i])))
+    middle: list[tuple[int, int, int]] = []  # (edge id, task, subinterval)
+    lengths = timeline.lengths
+    cov = timeline.coverage
+    for i in range(n):
+        for j in np.flatnonzero(cov[i]):
+            eid = net.add_edge(1 + i, 1 + n + int(j), float(lengths[j]))
+            middle.append((eid, i, int(j)))
+    for j in range(J):
+        net.add_edge(1 + n + j, sink, float(m * lengths[j]))
+    return net, source_edges, middle
+
+
+def realize_demands_dinic(
+    tasks: TaskSet, m: int, demands, rtol: float = 1e-9
+) -> DemandRealization:
+    """:func:`repro.optimal.realize_demands` on a new network solved by Dinic.
+
+    Same validation, saturation test and result shape; ``x`` is read off
+    the middle edges and ``bottleneck_subintervals`` off the residual
+    reachability of the subinterval nodes after the max flow.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    demands = np.asarray(demands, dtype=np.float64)
+    if demands.shape != (len(tasks),):
+        raise ValueError("demands must have one entry per task")
+    if np.any(demands < 0):
+        raise ValueError("demands must be nonnegative")
+    if np.any(demands > tasks.windows * (1 + 1e-9)):
+        raise ValueError("a demand exceeds its task's window (never realizable)")
+
+    timeline = Timeline(tasks)
+    net, source_edges, middle = _build_network(timeline, m, demands)
+    result = net.max_flow(0, len(tasks) + len(timeline) + 1)
+
+    feasible = _saturated(result.value, float(demands.sum()), rtol)
+
+    x = np.zeros((len(tasks), len(timeline)))
+    for eid, i, j in middle:
+        x[i, j] = max(result.edge_flows[eid], 0.0)
+
+    realized = np.array([result.edge_flows[e] for e in source_edges])
+    shortfall = np.maximum(demands - realized, 0.0)
+
+    bottleneck: tuple[int, ...] = ()
+    if not feasible:
+        # a subinterval is congested when its sink edge lies on the min cut,
+        # i.e. the subinterval node is still reachable in the residual graph
+        reach = net.min_cut_reachable(0)
+        n = len(tasks)
+        bottleneck = tuple(
+            j for j in range(len(timeline)) if reach[1 + n + j]
+        )
+
+    return DemandRealization(
+        feasible=feasible,
+        x=x,
+        shortfall=shortfall,
+        bottleneck_subintervals=bottleneck,
+    )
+
+
 def admission_oracle(stream, m: int, power: PolynomialPower, f_max: float | None):
     """Capped admission with a from-scratch flow test at every arrival.
 
     Yields ``(accepted, marginal_energy)`` per arrival of ``stream`` (tasks
     or ``[release, deadline, work]`` rows), lazily so that callers can time
-    each one.  An arrival is checked by :func:`realize_demands` on a new
-    network over the committed tasks plus it, after the isolation test;
+    each one.  An arrival is checked by :func:`realize_demands_dinic` on a
+    new network over the committed tasks plus it, after the isolation test;
     an accepted one joins a :class:`ScheduleSession`, whose energy
     difference is the quote (``None`` on reject).
     """
@@ -177,7 +381,7 @@ def admission_oracle(stream, m: int, power: PolynomialPower, f_max: float | None
         if not fits:
             demands = candidate.works / f_max
             fits = not np.any(demands > candidate.windows * (1 + 1e-12)) and (
-                realize_demands(candidate, m, demands).feasible
+                realize_demands_dinic(candidate, m, demands).feasible
             )
         if not fits:
             yield False, None

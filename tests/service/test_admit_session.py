@@ -1,5 +1,6 @@
 """Session-backed admission: per-platform sessions, delta accounting, spans."""
 
+from repro.engine import Platform
 from repro.obs.report import load_spans
 from repro.service import ServiceConfig
 from repro.service.http11 import HttpClient, request_once
@@ -42,6 +43,27 @@ class TestPerPlatformSessions:
                 await client.close()
 
         run_with_service(scenario, _config(m=4, f_max=1.0))
+
+    def test_first_admit_creates_the_default_platform_session(self):
+        config = _config(m=2, alpha=2.5, static=0.2, f_max=1.5)
+
+        async def scenario(service):
+            assert service._admission_pool == {}
+            await request_once(
+                "127.0.0.1", service.port, "POST", "/admit",
+                {"task": [0.0, 10.0, 4.0]},
+            )
+            key = Platform.from_params(
+                m=2, alpha=2.5, static=0.2, f_max=1.5
+            ).signature()
+            assert list(service._admission_pool) == [key]
+            ctl = service._admission_pool[key]
+            assert (ctl.m, ctl.f_max, len(ctl)) == (2, 1.5, 1)
+            assert (ctl.power.alpha, ctl.power.static, ctl.power.gamma) == (
+                2.5, 0.2, 1.0,
+            )
+
+        run_with_service(scenario, config)
 
     def test_reset_targets_one_platform(self):
         async def scenario(service):
