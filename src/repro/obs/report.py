@@ -113,15 +113,24 @@ class TraceView:
         return {sp["name"] for sp in self.spans}
 
     def is_scheduled(self) -> bool:
-        """True when this trace dispatched real solver work (cache miss)."""
-        return self.endpoint() in ("/schedule", "/optimal") and not self.cache_hit()
+        """True when this trace dispatched real solver work: a cache miss
+        that did not wait on another request's solve of the same plan."""
+        return (
+            self.endpoint() in ("/schedule", "/optimal")
+            and not self.cache_hit()
+            and not self._probed("coalesced")
+        )
 
     def cache_hit(self) -> bool:
-        for sp in self.by_name("cache.probe"):
-            if sp.get("attrs", {}).get("hit"):
-                return True
         root = self.root
-        return bool((root or {}).get("attrs", {}).get("cache_hit"))
+        return self._probed("hit") or bool(
+            (root or {}).get("attrs", {}).get("cache_hit")
+        )
+
+    def _probed(self, attr: str) -> bool:
+        """True when a ``cache.probe`` span of this trace set ``attr``."""
+        probes = self.by_name("cache.probe")
+        return any(sp.get("attrs", {}).get(attr) for sp in probes)
 
     def is_complete(self) -> bool:
         """A scheduled trace carrying the full service→solver chain."""

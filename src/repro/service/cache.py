@@ -2,9 +2,12 @@
 
 Keys are the canonical hashes of :func:`repro.service.protocol.
 canonical_plan_key`, so two requests that differ only in task order (or
-JSON field order) share one entry.  Values are the fully-rendered response
-payloads: a warm hit is returned straight from the event loop without
-touching the micro-batcher or the process pool.
+JSON field order) share one entry.  Values are encoded results
+(:class:`repro.service.protocol.EncodedResult`): the JSON bytes of a
+solved plan, which a warm hit splices into its reply straight from the
+event loop, without touching the micro-batcher or the process pool and
+without encoding the schedule again.  The cache itself never looks at
+its values.
 
 Accounting contract (pinned by the unit tests):
 

@@ -226,7 +226,7 @@ async def check(smoke: Smoke, seed: int = 7) -> None:
             n_requests=_REQUESTS,
             concurrency=_CONCURRENCY,
             n_tasks=6,
-            unique=16,
+            unique=_REQUESTS,  # distinct sets: no miss waits on another's solve
             include_schedule=False,
             seed=seed,
             chaos=CLIENT_SPEC.format(seed=seed),

@@ -79,7 +79,7 @@ class Request(NamedTuple):
 
 
 class Raw(NamedTuple):
-    """A pre-encoded response body (Prometheus text, a forwarded reply)."""
+    """An encoded response body and its content type."""
 
     data: bytes
     content_type: str
@@ -150,25 +150,18 @@ def encode_request(
 async def write_response(
     writer: asyncio.StreamWriter, response: tuple, keep_alive: bool
 ) -> None:
-    """Write ``(status, payload, extra headers or None)``; the payload is
-    JSON-encoded unless it is :class:`Raw`."""
-    status, payload, extra_headers = response
-    if isinstance(payload, Raw):
-        data = payload.data
-        ctype = payload.content_type
-    else:
-        data = json.dumps(payload).encode()
-        ctype = "application/json"
+    """Write ``(status, Raw body, extra headers or None)``."""
+    status, body, extra_headers = response
     extra = "".join(f"{k}: {v}\r\n" for k, v in (extra_headers or {}).items())
     head = (
         f"HTTP/1.1 {status} {STATUS_TEXT.get(status, 'Unknown')}\r\n"
-        f"Content-Type: {ctype}\r\n"
-        f"Content-Length: {len(data)}\r\n"
+        f"Content-Type: {body.content_type}\r\n"
+        f"Content-Length: {len(body.data)}\r\n"
         f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
         f"{extra}"
         "\r\n"
     ).encode("latin-1")
-    writer.write(head + data)
+    writer.write(head + body.data)
     await writer.drain()
 
 
@@ -176,7 +169,7 @@ class HttpServer:
     """One listen socket running the keep-alive connection loop.
 
     ``handle(request)`` answers each parsed request with ``(status,
-    payload, extra headers or None)``.  ``reject(status, code, message,
+    Raw body, extra headers or None)``.  ``reject(status, code, message,
     path)`` builds the answer to a request the loop refuses itself: an
     :class:`HttpError` head, or any request once :meth:`close` has begun
     (503 ``shutting_down``); the connection closes after it.

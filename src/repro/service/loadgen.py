@@ -6,7 +6,8 @@ connection and pull request indices from a shared counter until
 ``n_requests`` have been issued.  The workload is a pool of ``unique``
 paper-style task sets cycled round-robin — ``unique < n_requests``
 exercises the plan cache, ``unique == n_requests`` keeps it cold — with
-an optional fraction of ``/optimal`` and ``/admit`` traffic mixed in.
+an optional fraction of ``/optimal`` and ``/admit`` traffic spread evenly
+through it.
 
 Per-request wall latencies feed the same percentile math the server's
 histograms use, so client- and server-side numbers are comparable.
@@ -114,6 +115,24 @@ def _make_admit_stream(
         [float(r), float(d), float(c)]
         for r, d, c in zip(releases, deadlines, works)
     ]
+
+
+def _spread_kinds(n: int, counts: dict[str, int]) -> list[str]:
+    """The kind of each of ``n`` requests: ``counts[kind]`` of each kind,
+    spread evenly over the run, and ``"schedule"`` for the rest.
+
+    The k-th of a kind's ``c`` requests takes index ``(k + ½)·n/c``, or
+    the next free index after it, so no kind arrives as one burst.  The
+    counts must sum to at most ``n``.
+    """
+    kinds = ["schedule"] * n
+    for kind, count in counts.items():
+        for k in range(count):
+            i = int((k + 0.5) * n / count)
+            while kinds[i] != "schedule":
+                i = (i + 1) % n
+            kinds[i] = kind
+    return kinds
 
 
 async def _drive(host: str, port: int, n_requests: int, concurrency: int, request_for) -> dict:
@@ -267,8 +286,9 @@ async def run_loadgen(
     spec = FaultSpec.parse(chaos)
     injector = FaultInjector(spec) if spec.malform_rate > 0 else None
     pool = _make_tasksets(unique, n_tasks, seed)
-    n_optimal = int(n_requests * optimal_frac)
-    n_admit = int(n_requests * admit_frac)
+    n_optimal = min(int(n_requests * optimal_frac), n_requests)
+    n_admit = min(int(n_requests * admit_frac), n_requests - n_optimal)
+    kinds = _spread_kinds(n_requests, {"optimal": n_optimal, "admit": n_admit})
 
     # pre-encode one request per (endpoint, pool entry): request construction
     # is not what this tool measures, and on a small host every cycle the
@@ -304,9 +324,9 @@ async def run_loadgen(
         if injector is not None and injector.should_malform():
             payload = injector.malformed_payload()
             return codec.encode_request("POST", "/schedule", payload), tally_malformed
-        if i < n_optimal:
+        if kinds[i] == "optimal":
             return optimal_enc[i % unique], None
-        if i < n_optimal + n_admit:
+        if kinds[i] == "admit":
             tasks = pool[i % unique]
             return codec.encode_request(
                 "POST", "/admit", {"task": tasks[i % len(tasks)]}

@@ -2,8 +2,10 @@
 
 :data:`ROUTES` is the one route table every deployment serves — the
 daemon and the shard router alike — and :func:`shape_response` dresses
-each payload for the wire dialect its path speaks: the ``/v1`` envelope,
-or the legacy flat errors plus a ``Deprecation`` header.
+each payload for the wire dialect its path speaks (the ``/v1`` envelope,
+or the legacy flat errors plus a ``Deprecation`` header) and encodes it.
+A ``/schedule`` result is encoded once per solve as an
+:class:`EncodedResult`, which every reply of it splices in.
 
 Request bodies are JSON.  Task sets can arrive in any of three shapes —
 a ``repro-taskset`` envelope (the :mod:`repro.io.taskio` file format), a
@@ -23,6 +25,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..core.task import Task, TaskSet
 from ..engine import UnknownSolverError, resolve_name, solver_names
@@ -37,6 +40,7 @@ __all__ = [
     "ROUTES",
     "base_path",
     "no_route",
+    "EncodedResult",
     "shape_response",
     "ProtocolError",
     "ScheduleRequest",
@@ -162,47 +166,97 @@ def no_route(method: str, path: str) -> tuple[int, dict]:
     return 404, error_body("not_found", f"no route {method} {path}")
 
 
-def _meta(payload, shard, trace_id: str | None) -> dict:
+def _meta(shard, trace_id: str | None, solver=None, degraded_from=None) -> dict:
     """The ``meta`` block every ``/v1`` response carries."""
     meta = {
         "api_version": API_VERSION,
-        "solver": None,
+        "solver": solver,
         "shard": shard,
         "trace_id": trace_id,
     }
-    if isinstance(payload, dict) and not is_error_body(payload):
-        meta["solver"] = payload.get("solver") or payload.get("method")
-        if payload.get("degraded_from"):
-            meta["degraded_from"] = payload["degraded_from"]
+    if degraded_from:
+        meta["degraded_from"] = degraded_from
     return meta
+
+
+def _solver_fields(payload) -> tuple:
+    """``(solver, degraded_from)`` of a success payload: what ``meta`` reads."""
+    if isinstance(payload, dict) and not is_error_body(payload):
+        return (
+            payload.get("solver") or payload.get("method"),
+            payload.get("degraded_from"),
+        )
+    return None, None
+
+
+def _encode(payload) -> bytes:
+    return json.dumps(payload).encode()
+
+
+class EncodedResult(NamedTuple):
+    """A ``/schedule`` result as JSON bytes, encoded once per solve.
+
+    The plan cache stores it, and :func:`shape_response` splices it into
+    every reply of that result: the request's ``cache_hit`` flag goes in
+    as the result's last key, and under ``/v1`` the bytes become the
+    envelope's ``result``.  The reply is byte-for-byte ``json.dumps`` of
+    the dict ``{**result, "cache_hit": ...}`` (enveloped under ``/v1``).
+    ``solver`` and ``degraded_from`` are kept for the ``meta`` block.
+    """
+
+    data: bytes
+    solver: str | None
+    degraded_from: str | None
+    cache_hit: bool = False
+
+    @classmethod
+    def of(cls, result: dict) -> EncodedResult:
+        """Encode a worker's result dict (already rid of its ``_spans``)."""
+        # the splice appends cache_hit before the closing brace
+        assert result and "cache_hit" not in result and "_spans" not in result
+        return cls(_encode(result), *_solver_fields(result))
+
+
+_CACHE_HIT = {True: b', "cache_hit": true}', False: b', "cache_hit": false}'}
 
 
 def shape_response(
     status: int, payload, path: str, shard, trace_id: str | None = None
 ) -> tuple:
-    """Dress one payload for the wire dialect ``path`` speaks.
+    """Dress one payload for the wire dialect ``path`` speaks and encode it.
 
-    Returns ``(status, payload, extra headers or None)``.  ``/v1``
+    Returns ``(status, Raw body, extra headers or None)``.  ``/v1``
     responses get the envelope (``result``/``error`` + ``meta``, whose
     ``shard`` names the process that answered); legacy responses get
     unified errors flattened back to the historical string-``error``
     shape plus a ``Deprecation`` header pointing at the versioned
-    successor.  A :class:`~repro.service.http11.Raw` body (the Prometheus
-    exposition, a forwarded reply) passes through untouched.
+    successor.  An :class:`EncodedResult` is spliced, not re-encoded.  A
+    :class:`~repro.service.http11.Raw` body (the Prometheus exposition, a
+    forwarded reply) passes through untouched.
     """
     if isinstance(payload, Raw):
         return status, payload, None
-    if path.startswith(_V1_PREFIX):
-        return status, v1_envelope(payload, _meta(payload, shard, trace_id)), None
-    if is_error_body(payload):
-        payload = flatten_legacy_error(payload)
+    v1 = path.startswith(_V1_PREFIX)
+    if isinstance(payload, EncodedResult):
+        parts = [memoryview(payload.data)[:-1], _CACHE_HIT[payload.cache_hit]]
+        if v1:
+            meta = _meta(shard, trace_id, payload.solver, payload.degraded_from)
+            parts = [b'{"result": ', *parts, b', "meta": ', _encode(meta), b"}"]
+        data = b"".join(parts)
+    elif v1:
+        meta = _meta(shard, trace_id, *_solver_fields(payload))
+        data = _encode(v1_envelope(payload, meta))
+    else:
+        data = _encode(
+            flatten_legacy_error(payload) if is_error_body(payload) else payload
+        )
     extra = None
     if path in LEGACY_PATHS:
         extra = {
             "Deprecation": "true",
             "Link": f'</{API_VERSION}{path}>; rel="successor-version"',
         }
-    return status, payload, extra
+    return status, Raw(data, "application/json"), extra
 
 
 def schedule_methods() -> tuple[str, ...]:

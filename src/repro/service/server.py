@@ -5,6 +5,9 @@ Request flow for ``POST /schedule``::
     parse → canonicalize → cache probe ──hit──→ respond (no pool entry)
                                 └─miss─→ micro-batcher → process pool → respond
 
+A miss's result is encoded once and cached as those bytes, which every
+reply of it splices in; concurrent misses for one plan share one solve.
+
 Robustness:
 
 * **shedding** — at most ``max_inflight`` requests are in progress; the
@@ -47,6 +50,7 @@ from .protocol import (
     LEGACY_PATHS,
     ROUTES,
     AdmitRequest,
+    EncodedResult,
     OptimalRequest,
     ProtocolError,
     ScheduleRequest,
@@ -92,6 +96,9 @@ class SchedulingService:
         # (m/alpha/static/gamma/f_max) get their own committed plan
         # instead of clobbering the default one
         self._admission_pool: dict[tuple, AdmissionController] = {}
+        # plan key -> the solve of a miss in flight, shared by every request
+        # for that key until it ends (single-flight)
+        self._solving: dict[str, asyncio.Task] = {}
         self._admit_lock = asyncio.Lock()
         self._exporter: obs.JsonlExporter | None = None
         self._http = HttpServer(
@@ -151,6 +158,11 @@ class SchedulingService:
         """Graceful shutdown: drain accepted requests, then tear down."""
         await self._http.close()
         await self._drained.wait()  # every accepted request has responded
+        # a solve still in flight outlived the deadlines of all its requests
+        orphans = list(self._solving.values())
+        for solve in orphans:
+            solve.cancel()
+        await asyncio.gather(*orphans, return_exceptions=True)
         await self.batcher.close()
         if self._log_task is not None:
             self._log_task.cancel()
@@ -267,6 +279,9 @@ class SchedulingService:
                 root.set("http_status", status)
                 if status >= 500:
                     root.status = "error"
+                with obs.span("server.encode") as encode:
+                    response = self._reply(status, payload, path, root.trace_id)
+                    encode.set("bytes", len(response[1].data))
         self.metrics.observe_stages(spans)
         if self._exporter is not None and spans:
             self._exporter.export(spans)
@@ -274,7 +289,7 @@ class SchedulingService:
             (time.perf_counter() - t0) * 1e3
         )
         self.metrics.counter(f"responses:{path}:{status}").inc()
-        return self._reply(status, payload, path, root.trace_id)
+        return response
 
     @staticmethod
     def _parse_body(body: bytes):
@@ -311,11 +326,31 @@ class SchedulingService:
             key += ":light"
         with obs.span("cache.probe") as probe:
             cached = self.cache.get(key, PlanCache.MISS)
-            probe.set("hit", cached is not PlanCache.MISS)
-        if cached is not PlanCache.MISS:
+            hit = cached is not PlanCache.MISS
+            probe.set("hit", hit)
+            solving = None if hit else self._solving.get(key)
+            if solving is not None:
+                # the solve's spans land on the first request's trace only
+                probe.set("coalesced", True)
+        if hit:
             self.metrics.counter("cache_hits").inc()
-            return 200, {**cached, "cache_hit": True}
+            return 200, cached._replace(cache_hit=True)
         self.metrics.counter("cache_misses").inc()
+        if solving is None:
+            solving = asyncio.get_running_loop().create_task(
+                self._solve(key, req, tasks)
+            )
+            self._solving[key] = solving
+            solving.add_done_callback(lambda _: self._solving.pop(key))
+        else:
+            self.metrics.counter("coalesced_total").inc()
+        # shielded: a request reaching its deadline answers 504 but leaves
+        # the solve running for the other requests waiting on it
+        return await asyncio.shield(solving)
+
+    async def _solve(self, key: str, req: ScheduleRequest, tasks: list) -> tuple:
+        """One miss's solve, shared by every request for ``key`` meanwhile:
+        ``(status, error body or EncodedResult)``."""
         job = {
             "tasks": [(t.release, t.deadline, t.work, t.name) for t in tasks],
             "m": req.m,
@@ -331,11 +366,12 @@ class SchedulingService:
         self._adopt_spans(result)
         if "error" in result:
             return self._error_status(result), self._worker_error(result)
+        encoded = EncodedResult.of(result)
         if result.get("degraded"):
             self.metrics.counter("degraded_total").inc()
-            return 200, {**result, "cache_hit": False}  # never cache degraded
-        self.cache.put(key, result)
-        return 200, {**result, "cache_hit": False}
+        else:  # never cache degraded
+            self.cache.put(key, encoded)
+        return 200, encoded
 
     def _admission_for(self, req: AdmitRequest):
         """The per-platform admission session for one request (created lazily)."""

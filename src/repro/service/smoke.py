@@ -1,5 +1,9 @@
 """Smoke check: boot the daemon, hit every endpoint once, shut down clean.
 
+It also sends two ``/schedule`` bodies twice each, once per wire dialect,
+and checks that the cache hit's reply bytes are the miss's with only the
+``cache_hit`` flag flipped.
+
 Run as ``python -m repro.service.smoke`` (the ``make serve-smoke`` target).
 Exit code 0 means every endpoint answered as expected and graceful
 shutdown completed; any deviation prints the failure and exits 1.  Uses
@@ -13,10 +17,11 @@ import sys
 
 from ..smoke import Smoke, main
 from .config import ServiceConfig
-from .http11 import request_once
+from .http11 import HttpClient, request_once
 from .server import SchedulingService
 
 _TASKS = [[0.0, 10.0, 8.0], [2.0, 18.0, 14.0], [4.0, 16.0, 8.0]]
+_MISS, _HIT = b'"cache_hit": false', b'"cache_hit": true'
 
 
 async def check(smoke: Smoke) -> None:
@@ -67,6 +72,31 @@ async def check(smoke: Smoke) -> None:
             lambda b: b["metrics"]["counters"].get("requests_total:/schedule") == 1,
             "metrics",
         )
+
+        # a repeat is a cache hit that splices the stored result's bytes:
+        # it must equal the miss's reply with only the cache_hit flag
+        # flipped (one x-trace-id keeps the /v1 meta equal too)
+        for path, m in (("/schedule", 3), ("/v1/schedule", 4)):
+            client = HttpClient(config.host, service.port)
+            data = client.encode_request(
+                "POST", path,
+                {"tasks": _TASKS, "m": m, "static": 0.1, "method": "der"},
+                {"x-trace-id": "serve-smoke"},
+            )
+            try:
+                (s1, _, first), (s2, _, repeat) = [
+                    await client.request_raw(data) for _ in range(2)
+                ]
+            finally:
+                await client.close()
+            smoke.check(
+                s1 == s2 == 200
+                and first.count(_MISS) == 1
+                and repeat == first.replace(_MISS, _HIT),
+                f"POST {path} twice: the hit is the miss's bytes with cache_hit true",
+                f"{path}: the repeat's bytes are not the first's with cache_hit "
+                f"flipped (HTTP {s1}, {s2})",
+            )
 
 
 if __name__ == "__main__":

@@ -102,6 +102,18 @@ class TestTraceView:
             assert tv.cache_hit()
             assert not tv.is_scheduled()
 
+    def test_coalesced_miss_is_neither_hit_nor_scheduled(self):
+        # a miss that waited on another request's solve of the same plan:
+        # the solve's spans sit on the other trace, so this one is not
+        # an incomplete scheduled trace
+        for path in _PATHS:
+            spans = _hit_trace(path=path)
+            spans[1]["attrs"] = {"hit": False, "coalesced": True}
+            (tv,) = group_traces(spans)
+            assert not tv.cache_hit()
+            assert not tv.is_scheduled()
+            assert trace_summary(spans)["incomplete_traces"] == 0
+
     def test_group_traces_orders_by_start(self):
         spans = _hit_trace() + _scheduled_trace()  # T2 starts later
         traces = group_traces(spans)

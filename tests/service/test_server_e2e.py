@@ -13,7 +13,8 @@ import pytest
 
 from repro.io import schedule_from_json
 from repro.service import SchedulingService, ServiceConfig
-from repro.service.http11 import HttpClient, request_once
+from repro.obs.report import load_spans, trace_summary
+from repro.service.http11 import HttpClient, HttpServer, Raw, request_once
 from repro.service.loadgen import run_loadgen
 from repro.sim import validate_schedule
 from tests.conftest import run_with_service
@@ -29,6 +30,19 @@ def _config(**kwargs) -> ServiceConfig:
 def _schedule_payload(tasks=_TASKS, **over):
     return {"tasks": tasks, "m": 2, "alpha": 3.0, "static": 0.1,
             "method": "der", **over}
+
+
+def _hold_dispatch(service) -> asyncio.Event:
+    """Hold every batcher dispatch until the returned event is set."""
+    release = asyncio.Event()
+    inner = service.batcher._dispatch
+
+    async def held(jobs):
+        await release.wait()
+        return await inner(jobs)
+
+    service.batcher._dispatch = held
+    return release
 
 
 class TestScheduleEndpoint:
@@ -80,6 +94,64 @@ class TestScheduleEndpoint:
             assert service.cache.hits == 2
 
         run_with_service(scenario)
+
+    def test_identical_misses_share_one_solve(self, tmp_path):
+        """Six concurrent misses for one plan make one batcher job."""
+        trace = tmp_path / "out.jsonl"
+
+        async def scenario(service):
+            release = _hold_dispatch(service)
+            jobs_before = service.batcher.jobs
+            clients = [
+                asyncio.ensure_future(request_once(
+                    "127.0.0.1", service.port, "POST", "/v1/schedule",
+                    _schedule_payload(),
+                ))
+                for _ in range(6)
+            ]
+            misses = service.metrics.counter("cache_misses")
+
+            async def all_probed():
+                while misses.value < 6:
+                    await asyncio.sleep(0.01)
+
+            await asyncio.wait_for(all_probed(), timeout=30)
+            release.set()
+            results = await asyncio.wait_for(asyncio.gather(*clients), timeout=30)
+            assert service.batcher.jobs - jobs_before == 1
+            assert [status for status, _ in results] == [200] * 6
+            first = results[0][1]["result"]
+            assert first["cache_hit"] is False
+            assert all(body["result"] == first for _, body in results)
+            counters = service.metrics.snapshot()["counters"]
+            assert counters["coalesced_total"] == 5
+            assert not service._solving  # the in-flight record is gone
+
+        run_with_service(scenario, _config(trace_path=str(trace)))
+        summary = trace_summary(load_spans(trace))
+        assert summary["scheduled_traces"] == 1
+        assert summary["incomplete_traces"] == 0
+
+    def test_miss_past_its_deadline_leaves_its_solve_running(self):
+        async def scenario(service):
+            release = _hold_dispatch(service)
+            status, body = await request_once(
+                "127.0.0.1", service.port, "POST", "/schedule", _schedule_payload()
+            )
+            assert status == 504  # the solve it started is still held
+            assert len(service._solving) == 1
+            release.set()
+            await asyncio.wait_for(
+                asyncio.gather(*service._solving.values()), timeout=30
+            )
+            assert not service._solving
+            status, body = await request_once(
+                "127.0.0.1", service.port, "POST", "/schedule", _schedule_payload()
+            )
+            assert status == 200 and body["cache_hit"] is True
+            assert service.batcher.jobs == 1
+
+        run_with_service(scenario, _config(request_timeout=0.2))
 
     def test_online_method_reports_replans(self):
         async def scenario(service):
@@ -386,6 +458,35 @@ class TestLoadgen:
             assert service.cache.hits >= 30
 
         run_with_service(scenario, _config(batch_max=16))
+
+    def test_loadgen_spreads_admits_over_the_run(self):
+        """5% admits in 1000 requests: never more than 2 in 20 consecutive."""
+
+        async def scenario():
+            paths = []
+
+            async def handle(request):
+                paths.append(request.path)
+                return 200, Raw(b"{}", "application/json"), None
+
+            server = HttpServer(
+                handle, lambda status, *_: (status, Raw(b"{}", "application/json"), None)
+            )
+            await server.start("127.0.0.1", 0)
+            try:
+                await run_loadgen(
+                    "127.0.0.1", server.port,
+                    n_requests=1000, concurrency=1, n_tasks=3, unique=10,
+                    admit_frac=0.05,
+                )
+            finally:
+                await server.close()
+                await server.close_connections()
+            return paths
+
+        admits = [path == "/admit" for path in asyncio.run(scenario())]
+        assert len(admits) == 1000 and sum(admits) == 50
+        assert max(sum(admits[i:i + 20]) for i in range(len(admits) - 19)) <= 2
 
     def test_loadgen_mixed_workload(self):
         async def scenario(service):
