@@ -6,7 +6,7 @@ twice per allocation policy — once with the full-rebuild oracle
 at every release instant) and once with the incremental
 :class:`ScheduleSession` re-plan — and emits a
 machine-readable report (``results/bench/BENCH_incremental.json`` for the
-archived full run, ``BENCH_incremental_smoke.json`` for smoke runs):
+archived full run; a smoke run prints it and writes nothing):
 
 * wall time per engine and the session/rebuild speedup,
 * re-plan events per second for each engine,
@@ -195,7 +195,8 @@ def main(argv: list[str] | None = None) -> int:
         "--gate", type=float, default=None,
         help="minimum session/rebuild speedup (default: 2 smoke, 5 full)",
     )
-    ap.add_argument("--out", type=Path, default=None)
+    ap.add_argument("--out", type=Path, default=None,
+                    help="write the report here (a smoke run otherwise prints it)")
     args = ap.parse_args(argv)
 
     n_tasks = args.n_tasks or (300 if args.smoke else 1000)
@@ -224,13 +225,17 @@ def main(argv: list[str] | None = None) -> int:
         "methods": methods,
         "admission": admission,
     }
-    out = args.out
-    if out is None:
-        stem = "BENCH_incremental_smoke" if args.smoke else "BENCH_incremental"
-        out = Path(__file__).resolve().parent.parent / "results" / "bench" / f"{stem}.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {out}", flush=True)
+    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
+    if args.smoke and args.out is None:
+        print(text, end="", flush=True)
+    else:
+        out = args.out or (
+            Path(__file__).resolve().parent.parent
+            / "results" / "bench" / "BENCH_incremental.json"
+        )
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text)
+        print(f"wrote {out}", flush=True)
 
     if regressions:
         for r in regressions:

@@ -3,7 +3,7 @@
 Times the interior-point solver's Newton kernels on two paper-style
 instance families, plus the exact solves of Fig. 6's grid, and emits a
 machine-readable report (``results/bench/BENCH_optimal.json`` for the
-archived full run, ``BENCH_optimal_smoke.json`` for the CI smoke run):
+archived full run; the CI smoke run prints it and writes nothing):
 
 * ``long-horizon`` — tasks with localized windows spread over a long
   horizon, the common aperiodic shape.  The subinterval band is narrow
@@ -257,15 +257,12 @@ def main(argv: list[str] | None = None) -> int:
         default=1.5,
         help="smoke gate: fail when auto is slower than dense by this factor",
     )
-    ap.add_argument("--out", type=Path, default=None)
+    ap.add_argument("--out", type=Path, default=None,
+                    help="write the report here (a smoke run otherwise prints it)")
     args = ap.parse_args(argv)
 
     n_tasks = args.n_tasks or (60 if args.smoke else 500)
     reps = args.reps or (1 if args.smoke else 3)
-    out = args.out or (
-        Path("results/bench")
-        / ("BENCH_optimal_smoke.json" if args.smoke else "BENCH_optimal.json")
-    )
     names = list(INSTANCES) if args.instance == "all" else [args.instance]
 
     print(f"Newton-kernel benchmark: n={n_tasks}, m={args.m}, reps={reps}")
@@ -309,8 +306,14 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "regressions": regressions,
     }
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if args.smoke and args.out is None:
+        print(text, end="")
+    else:
+        out = args.out or Path("results/bench/BENCH_optimal.json")
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text)
+        print(f"wrote {out}")
     for name, rep in instances.items():
         print(
             f"{name}: auto ({rep['kernels']['auto']['kernel']}) speedup vs "
@@ -323,7 +326,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{paper_scale['median_wall_s']:.3f}s, polish "
             f"{paper_scale['mean_polish_iters']:.0f} iterations on average"
         )
-    print(f"wrote {out}")
     if regressions and args.smoke:
         for msg in regressions:
             print(f"REGRESSION: {msg}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Sharded tier vs one daemon: throughput evidence + session equivalence.
 
 Two phases, one archived report (``results/bench/BENCH_shards.json``;
-``BENCH_shards_smoke.json`` for smoke runs):
+a smoke run prints it and writes nothing):
 
 1. **Throughput** — two deployments with the same number of solver
    processes, each booted as its own ``repro serve`` process tree:
@@ -334,7 +334,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--smoke", action="store_true", help="small fast run")
     ap.add_argument("--events", type=int, default=None)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", type=Path, default=None)
+    ap.add_argument("--out", type=Path, default=None,
+                    help="write the report here (a smoke run otherwise prints it)")
     args = ap.parse_args(argv)
 
     pairs = 1 if args.smoke else PAIRS
@@ -381,13 +382,14 @@ def main(argv: list[str] | None = None) -> int:
         "throughput": throughput,
         "equivalence": equivalence,
     }
-    out = args.out
-    if out is None:
-        stem = "BENCH_shards_smoke" if args.smoke else "BENCH_shards"
-        out = _ROOT / "results" / "bench" / f"{stem}.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {out}", flush=True)
+    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
+    if args.smoke and args.out is None:
+        print(text, end="", flush=True)
+    else:
+        out = args.out or _ROOT / "results" / "bench" / "BENCH_shards.json"
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text)
+        print(f"wrote {out}", flush=True)
 
     failures: list[str] = []
     if not equivalence["acks_bit_equal"]:

@@ -13,16 +13,18 @@ ports so the check is hermetic:
    text/plain`` returns parseable 0.0.4 text exposition carrying a
    ``*_window_len`` gauge for every histogram family.
 3. **Overhead** — the smoke workload's ``/schedule`` traffic is run
-   against a traced (JSONL-exporting) daemon and an untraced one; the
-   traced p50 must stay within ``_OVERHEAD_FRAC`` (plus a small absolute
-   slack for timer noise) of the untraced p50.  The comparison is
-   retried a few times before failing so one CI scheduling hiccup
-   doesn't fail the build — but a real regression fails every attempt.
+   against a traced (JSONL-exporting) daemon and an untraced one, in
+   ``_OVERHEAD_PAIRS`` pairs that alternate which side runs first; the
+   median traced p50 must stay within ``_OVERHEAD_FRAC`` (plus a small
+   absolute slack for timer noise) of the median untraced p50.  One
+   pair's p50s move by about a millisecond on a shared host, so the gate
+   reads medians once instead of retrying single pairs.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import tempfile
 
@@ -39,7 +41,8 @@ _OVERHEAD_FRAC = 0.05
 #: ...plus this absolute slack (ms) so sub-millisecond baselines don't
 #: turn timer jitter into failures
 _OVERHEAD_SLACK_MS = 0.5
-_OVERHEAD_ATTEMPTS = 3
+#: traced/untraced runs compared, alternating which side goes first
+_OVERHEAD_PAIRS = 11
 
 
 def _workload_kwargs() -> dict:
@@ -141,33 +144,41 @@ def _check_prom(status: int, text: str, smoke: Smoke) -> None:
 
 
 async def _check_overhead(smoke: Smoke) -> None:
-    last = ""
-    for attempt in range(1, _OVERHEAD_ATTEMPTS + 1):
+    p50s: dict[str, list[float]] = {"untraced": [], "traced": []}
+    for pair in range(_OVERHEAD_PAIRS):
         fd, path = tempfile.mkstemp(suffix=".jsonl", prefix="obs-overhead-")
         os.close(fd)
+        sides = {
+            "untraced": ServiceConfig(port=0, workers=0, log_interval=0),
+            "traced": ServiceConfig(
+                port=0, workers=0, log_interval=0, trace_path=path
+            ),
+        }
+        order = list(sides) if pair % 2 == 0 else list(reversed(sides))
         try:
-            base = await _run_against(
-                ServiceConfig(port=0, workers=0, log_interval=0)
-            )
-            traced = await _run_against(
-                ServiceConfig(
-                    port=0, workers=0, log_interval=0, trace_path=path
-                )
-            )
+            for side in order:
+                stats = await _run_against(sides[side])
+                p50s[side].append(stats["latency_ms"]["p50"])
         finally:
             os.unlink(path)
-        p50_base = base["latency_ms"]["p50"]
-        p50_traced = traced["latency_ms"]["p50"]
-        budget = p50_base * (1 + _OVERHEAD_FRAC) + _OVERHEAD_SLACK_MS
-        last = (
-            f"p50 untraced {p50_base:.3f} ms vs traced {p50_traced:.3f} ms "
-            f"(budget {budget:.3f} ms)"
+        print(
+            f"  pair {pair + 1}/{_OVERHEAD_PAIRS} ({order[0]} first): p50 "
+            f"untraced {p50s['untraced'][-1]:.3f} ms, "
+            f"traced {p50s['traced'][-1]:.3f} ms",
+            flush=True,
         )
-        if p50_traced <= budget:
-            smoke.ok(f"overhead within budget: {last}")
-            return
-        print(f"  retry {attempt}/{_OVERHEAD_ATTEMPTS}: {last}")
-    smoke.fail(f"tracing overhead exceeds {_OVERHEAD_FRAC:.0%}: {last}")
+    p50_base = statistics.median(p50s["untraced"])
+    p50_traced = statistics.median(p50s["traced"])
+    budget = p50_base * (1 + _OVERHEAD_FRAC) + _OVERHEAD_SLACK_MS
+    summary = (
+        f"median p50 untraced {p50_base:.3f} ms vs traced {p50_traced:.3f} ms "
+        f"(budget {budget:.3f} ms)"
+    )
+    smoke.check(
+        p50_traced <= budget,
+        f"overhead within budget: {summary}",
+        f"tracing overhead exceeds {_OVERHEAD_FRAC:.0%}: {summary}",
+    )
 
 
 async def check(smoke: Smoke) -> None:

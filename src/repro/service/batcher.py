@@ -3,14 +3,12 @@
 A :class:`MicroBatcher` sits in front of an async ``dispatch`` callable
 that must return one result per job, in order.  It has ``slots``
 dispatches in flight at most (the daemon passes its pool's worker
-count) and follows one rule:
-
-* while a slot is free, a submitted job dispatches at once, alone, on the
-  submitter's own await — no timer, no intermediate future;
-* a job that arrives while every slot is busy queues, and when a slot
-  frees it takes its share of the queue — ``ceil(queued / slots)`` jobs,
-  at most ``max_batch`` — as one dispatch, in submit order.  So a backlog
-  spreads over every slot instead of landing on the first to free.
+count).  :meth:`~MicroBatcher.submit` queues a job and returns the
+future of its result; each free slot takes its share of the queue —
+``ceil(queued / slots)`` jobs, at most ``max_batch`` — as one dispatch,
+in submit order, run in a task of its own.  So a job that finds a slot
+free dispatches at once, alone, with no timer, and a backlog spreads
+over every slot instead of landing on the first to free.
 
 So a lightly loaded daemon never waits, and per-dispatch costs (pickling,
 queue wakeups, the fused solver pass in :mod:`~repro.service.pool`) are
@@ -35,8 +33,8 @@ class MicroBatcher:
     ----------
     dispatch:
         ``async (jobs) -> results`` with ``len(results) == len(jobs)``.
-        An exception from ``dispatch`` propagates to every job waiting on
-        the batch.
+        An exception from ``dispatch`` is set on every job future of the
+        batch.
     slots:
         Dispatches allowed in flight at once.
     max_batch:
@@ -53,7 +51,7 @@ class MicroBatcher:
         self.max_batch = max_batch
         self._busy = 0
         self._queue: deque[tuple[Any, asyncio.Future]] = deque()
-        self._backlog_tasks: set[asyncio.Task] = set()
+        self._tasks: set[asyncio.Task] = set()
         self._closed = False
         # accounting for /metrics
         self.batches = 0
@@ -65,47 +63,44 @@ class MicroBatcher:
         """Jobs queued behind busy slots."""
         return len(self._queue)
 
-    async def submit(self, job: Any) -> Any:
-        """Dispatch one job (at once if a slot is free) and wait for its result."""
+    def submit(self, job: Any) -> asyncio.Future:
+        """Queue one job (dispatched at once if a slot is free) and return
+        the future of its result."""
         if self._closed:
             raise RuntimeError("batcher is closed")
-        if self._busy < self.slots:
-            self._busy += 1
-            return (await self._run([job]))[0]
         fut: asyncio.Future = asyncio.get_running_loop().create_future()
         self._queue.append((job, fut))
-        return await fut
+        self._start()
+        return fut
 
-    async def _run(self, jobs: list) -> Sequence[Any]:
-        """Dispatch ``jobs`` on a slot the caller took; hand the slot on after."""
-        self.batches += 1
-        self.jobs += len(jobs)
-        self.largest_batch = max(self.largest_batch, len(jobs))
-        try:
-            results = await self._dispatch(jobs)
-        finally:
-            self._busy -= 1
-            self._start_backlog()
-        if len(results) != len(jobs):
-            raise RuntimeError(
-                f"dispatch returned {len(results)} results for {len(jobs)} jobs"
-            )
-        return results
-
-    def _start_backlog(self) -> None:
+    def _start(self) -> None:
         """Give each free slot its share of the queue (every queued job once
         closed, so :meth:`close` drains without waiting for slots)."""
         while self._queue and (self._busy < self.slots or self._closed):
             n = min(-(-len(self._queue) // self.slots), self.max_batch)
             batch = [self._queue.popleft() for _ in range(n)]
             self._busy += 1
-            task = asyncio.get_running_loop().create_task(self._run_backlog(batch))
-            self._backlog_tasks.add(task)
-            task.add_done_callback(self._backlog_tasks.discard)
+            task = asyncio.get_running_loop().create_task(self._run(batch))
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
 
-    async def _run_backlog(self, batch: list[tuple[Any, asyncio.Future]]) -> None:
+    async def _run(self, batch: list[tuple[Any, asyncio.Future]]) -> None:
+        """Dispatch one batch on the slot :meth:`_start` took for it, hand
+        the slot on, then settle the batch's futures."""
+        jobs = [job for job, _ in batch]
+        self.batches += 1
+        self.jobs += len(jobs)
+        self.largest_batch = max(self.largest_batch, len(jobs))
         try:
-            results = await self._run([job for job, _ in batch])
+            try:
+                results = await self._dispatch(jobs)
+            finally:
+                self._busy -= 1
+                self._start()
+            if len(results) != len(jobs):
+                raise RuntimeError(
+                    f"dispatch returned {len(results)} results for {len(jobs)} jobs"
+                )
         except BaseException as exc:  # forwarded to every waiter
             for _, fut in batch:
                 if not fut.done():
@@ -119,8 +114,8 @@ class MicroBatcher:
 
     async def close(self) -> None:
         """Refuse further submissions, dispatch every queued job, and wait
-        for the queued dispatches to finish."""
+        for every dispatch to finish."""
         self._closed = True
-        self._start_backlog()
-        while self._backlog_tasks:
-            await asyncio.gather(*list(self._backlog_tasks), return_exceptions=True)
+        self._start()
+        while self._tasks:
+            await asyncio.gather(*list(self._tasks), return_exceptions=True)

@@ -2,10 +2,11 @@
 
 Everything submitted crosses process boundaries, so workers are
 module-level functions of plain-JSON-shaped arguments (the same rule as
-:mod:`repro.experiments.parallel`).  One batch from the micro-batcher is
-one executor submission.  The batcher keeps at most one batch per worker
-in flight and gives each freed worker its share of a backlog, so a
-backlog spreads over the pool without splitting batches here.
+:mod:`repro.experiments.parallel`).  Every executor submission is a list
+of jobs: one batch from the micro-batcher, or an ``/optimal`` job as a
+list of one.  The batcher keeps at most one batch per worker in flight
+and gives each freed worker its share of a backlog, so a backlog spreads
+over the pool without splitting batches here.
 
 ``workers = 0`` runs the same worker functions in the default thread
 executor — identical semantics, no process pool — which is what tests,
@@ -26,8 +27,8 @@ stays flat across warm requests.
 Supervision: a dispatch that dies with a broken executor (worker process
 SIGKILLed, OOM-killed, or a chaos-injected :class:`~repro.service.faults.
 SimulatedWorkerCrash`) respawns the pool and re-dispatches the in-flight
-batch at most :class:`~repro.service.config.RetryPolicy` ``.max_retries``
-times with jittered exponential backoff.  A batch that crashes again is
+job list at most :class:`~repro.service.config.RetryPolicy` ``.max_retries``
+times with jittered exponential backoff.  A list that crashes again is
 *abandoned*: each of its jobs resolves to an error dict (the client gets
 a clean 5xx, not a hang), and ``worker_restarts`` / ``job_retries`` /
 ``jobs_abandoned`` land in the shared :class:`~repro.obs.metrics.
@@ -53,24 +54,10 @@ from .faults import FaultInjector, SimulatedWorkerCrash, kill_one_worker
 
 __all__ = [
     "SolveDispatcher",
-    "WorkerCrashError",
     "solve_schedule_batch",
+    "solve_optimal_batch",
     "solve_optimal_job",
 ]
-
-
-class WorkerCrashError(RuntimeError):
-    """A dispatch crashed its worker and exhausted the retry budget.
-
-    ``per_job_spans`` (one list of span dicts per job of the batch, when
-    the jobs carried trace context) records every crashed attempt as a
-    ``pool.attempt`` span — the abandoned attempts stay visible on the
-    trace even though the workers that ran them died without reporting.
-    """
-
-    def __init__(self, message: str, per_job_spans: list[list[dict]] | None = None):
-        super().__init__(message)
-        self.per_job_spans = per_job_spans
 
 
 def _queue_span(carrier: dict, end: float | None = None) -> dict:
@@ -407,6 +394,12 @@ def solve_optimal_job(job: dict) -> dict:
     return result
 
 
+def solve_optimal_batch(jobs: Sequence[dict]) -> list[dict]:
+    """:func:`solve_optimal_job` over a job list, the shape every
+    executor submission of :class:`SolveDispatcher` takes."""
+    return [solve_optimal_job(job) for job in jobs]
+
+
 def _solve_one_optimal(job: dict) -> dict:
     import numpy as np
 
@@ -539,27 +532,18 @@ class SolveDispatcher:
             broken.shutdown(wait=False, cancel_futures=True)
             self._pool = self._make_pool()
 
-    async def _dispatch_supervised(
-        self,
-        fn: Callable,
-        payload,
-        n_jobs: int,
-        trace_jobs: Sequence[dict] | None = None,
-    ):
-        """Run one executor submission under the crash/retry supervisor.
+    async def _dispatch_supervised(self, fn: Callable, jobs: list[dict]) -> list[dict]:
+        """Run ``fn(jobs)`` as one executor submission under the crash/retry
+        supervisor; always one result dict per job.
 
-        ``trace_jobs`` (the individual job dicts of this submission, when
-        the caller has them) lets the supervisor keep crashed attempts on
-        the trace: a worker that dies takes its capture buffer with it, so
-        each crash is reconstructed dispatcher-side as a ``pool.attempt``
-        span per traced job.  Those spans ride the eventual results (or
-        :attr:`WorkerCrashError.per_job_spans` on abandonment).
+        A worker that dies takes its capture buffer with it, so each crash
+        is reconstructed here as a ``pool.attempt`` span per traced job.
+        Those spans ride the job's eventual result, or its error dict when
+        the submission is abandoned — the abandoned attempts stay visible
+        on the trace even though the workers that ran them never reported.
         """
         loop = asyncio.get_running_loop()
-        carriers = [
-            job.get("_trace") for job in (trace_jobs or [])
-        ]
-        crash_spans: list[list[dict]] = [[] for _ in carriers]
+        crash_spans: list[list[dict]] = [[] for _ in jobs]
         attempt = 0
         while True:
             pool = self._pool
@@ -573,14 +557,12 @@ class SolveDispatcher:
                             "chaos: worker killed mid-solve"
                         )
                 self.dispatch_count += 1
-                result = await loop.run_in_executor(pool, fn, payload)
-                if any(crash_spans):
-                    self._attach_crash_spans(result, crash_spans)
-                return result
+                results = await loop.run_in_executor(pool, fn, jobs)
             except (BrokenExecutor, SimulatedWorkerCrash) as exc:
-                for i, carrier in enumerate(carriers):
+                for job, spans in zip(jobs, crash_spans):
+                    carrier = job.get("_trace")
                     if carrier is not None:
-                        crash_spans[i].append(
+                        spans.append(
                             obs.manual_span(
                                 "pool.attempt",
                                 trace_id=str(carrier["trace_id"]),
@@ -594,68 +576,36 @@ class SolveDispatcher:
                         )
                 self._respawn(pool)
                 if attempt >= self.retry.max_retries:
-                    self.metrics.counter("jobs_abandoned").inc(n_jobs)
-                    for spans in crash_spans:
+                    self.metrics.counter("jobs_abandoned").inc(len(jobs))
+                    message = (
+                        f"dispatch abandoned after {attempt + 1} worker "
+                        f"crash(es): {type(exc).__name__}: {exc}"
+                    )
+                    results = [{"error": message, "abandoned": True} for _ in jobs]
+                    for err, spans in zip(results, crash_spans):
                         if spans:
                             spans[-1]["attrs"]["outcome"] = "abandoned"
-                    raise WorkerCrashError(
-                        f"dispatch abandoned after {attempt + 1} worker "
-                        f"crash(es): {type(exc).__name__}: {exc}",
-                        per_job_spans=(
-                            crash_spans if any(crash_spans) else None
-                        ),
-                    ) from exc
+                            err["_spans"] = spans
+                    return results
                 attempt += 1
-                self.metrics.counter("job_retries").inc(n_jobs)
+                self.metrics.counter("job_retries").inc(len(jobs))
                 await asyncio.sleep(self.retry.delay(attempt, self._rng))
-
-    @staticmethod
-    def _attach_crash_spans(result, crash_spans: list[list[dict]]) -> None:
-        """Merge dispatcher-side attempt spans into the successful results.
-
-        ``result`` is either one dict (optimal job) or the batch's result
-        list; either way the crashed attempts join the ``_spans`` the
-        retried worker shipped home, so the retry is linked to the same
-        trace as the attempts it replaced.
-        """
-        if isinstance(result, dict):
-            if crash_spans and crash_spans[0]:
-                result.setdefault("_spans", []).extend(crash_spans[0])
-            return
-        for res, spans in zip(result, crash_spans):
-            if spans and isinstance(res, dict):
-                res.setdefault("_spans", []).extend(spans)
+            else:
+                for res, spans in zip(results, crash_spans):
+                    if spans:
+                        res.setdefault("_spans", []).extend(spans)
+                return results
 
     # -- public API ----------------------------------------------------------------
 
     async def solve_batch(self, jobs: Sequence[dict]) -> list[dict]:
         """One micro-batch → one executor submission → ordered results;
         abandonment yields per-job error dicts."""
-        jobs = list(jobs)
-        try:
-            return await self._dispatch_supervised(
-                solve_schedule_batch, jobs, len(jobs), trace_jobs=jobs
-            )
-        except WorkerCrashError as exc:
-            per_job = exc.per_job_spans or [None] * len(jobs)
-            out: list[dict] = []
-            for spans in per_job:
-                err: dict = {"error": str(exc), "abandoned": True}
-                if spans:
-                    err["_spans"] = spans
-                out.append(err)
-            return out
+        return await self._dispatch_supervised(solve_schedule_batch, list(jobs))
 
     async def solve_optimal(self, job: dict) -> dict:
-        try:
-            return await self._dispatch_supervised(
-                solve_optimal_job, job, 1, trace_jobs=[job]
-            )
-        except WorkerCrashError as exc:
-            err: dict = {"error": str(exc), "abandoned": True}
-            if exc.per_job_spans and exc.per_job_spans[0]:
-                err["_spans"] = exc.per_job_spans[0]
-            return err
+        """One ``/optimal`` job, dispatched as a list of one."""
+        return (await self._dispatch_supervised(solve_optimal_batch, [job]))[0]
 
     def shutdown(self) -> None:
         self._closed = True

@@ -6,7 +6,9 @@ Request flow for ``POST /schedule``::
                                 └─miss─→ micro-batcher → process pool → respond
 
 A miss's result is encoded once and cached as those bytes, which every
-reply of it splices in; concurrent misses for one plan share one solve.
+reply of it splices in; concurrent misses for one plan share one solve,
+whose outcome a done callback on the batcher's future settles (no task
+per miss).
 
 Robustness:
 
@@ -17,8 +19,9 @@ Robustness:
   and answers 504 if the solve can't make it,
 * **graceful shutdown** — :meth:`SchedulingService.stop` closes the
   listener, drains every accepted request to a written response, closes
-  the batcher, and only then tears down the executor: an accepted
-  request is never dropped.
+  the batcher (which waits for every dispatch, a solve that outlived its
+  requests' deadlines included), and only then tears down the executor:
+  an accepted request is never dropped, and nothing is cancelled.
 
 HTTP/1.1 framing, the keep-alive loop and the drain on stop come from
 :mod:`~repro.service.http11`; routes and response shaping from
@@ -96,9 +99,9 @@ class SchedulingService:
         # (m/alpha/static/gamma/f_max) get their own committed plan
         # instead of clobbering the default one
         self._admission_pool: dict[tuple, AdmissionController] = {}
-        # plan key -> the solve of a miss in flight, shared by every request
-        # for that key until it ends (single-flight)
-        self._solving: dict[str, asyncio.Task] = {}
+        # plan key -> the outcome of a miss's solve in flight, shared by
+        # every request for that key until it ends (single-flight)
+        self._solving: dict[str, asyncio.Future] = {}
         self._admit_lock = asyncio.Lock()
         self._exporter: obs.JsonlExporter | None = None
         self._http = HttpServer(
@@ -158,11 +161,6 @@ class SchedulingService:
         """Graceful shutdown: drain accepted requests, then tear down."""
         await self._http.close()
         await self._drained.wait()  # every accepted request has responded
-        # a solve still in flight outlived the deadlines of all its requests
-        orphans = list(self._solving.values())
-        for solve in orphans:
-            solve.cancel()
-        await asyncio.gather(*orphans, return_exceptions=True)
         await self.batcher.close()
         if self._log_task is not None:
             self._log_task.cancel()
@@ -328,50 +326,61 @@ class SchedulingService:
             cached = self.cache.get(key, PlanCache.MISS)
             hit = cached is not PlanCache.MISS
             probe.set("hit", hit)
-            solving = None if hit else self._solving.get(key)
-            if solving is not None:
+            outcome = None if hit else self._solving.get(key)
+            if outcome is not None:
                 # the solve's spans land on the first request's trace only
                 probe.set("coalesced", True)
         if hit:
             self.metrics.counter("cache_hits").inc()
             return 200, cached._replace(cache_hit=True)
         self.metrics.counter("cache_misses").inc()
-        if solving is None:
-            solving = asyncio.get_running_loop().create_task(
-                self._solve(key, req, tasks)
+        if outcome is None:
+            job = self._job(
+                req,
+                tasks,
+                req.solver,
+                method=req.method,
+                include_schedule=req.include_schedule,
             )
-            self._solving[key] = solving
-            solving.add_done_callback(lambda _: self._solving.pop(key))
+            outcome = self._solve(key, job)
         else:
             self.metrics.counter("coalesced_total").inc()
         # shielded: a request reaching its deadline answers 504 but leaves
         # the solve running for the other requests waiting on it
-        return await asyncio.shield(solving)
+        return await asyncio.shield(outcome)
 
-    async def _solve(self, key: str, req: ScheduleRequest, tasks: list) -> tuple:
-        """One miss's solve, shared by every request for ``key`` meanwhile:
-        ``(status, error body or EncodedResult)``."""
-        job = {
-            "tasks": [(t.release, t.deadline, t.work, t.name) for t in tasks],
-            "m": req.m,
-            "alpha": req.power.alpha,
-            "static": req.power.static,
-            "gamma": req.power.gamma,
-            "method": req.method,
-            "include_schedule": req.include_schedule,
-        }
-        self._arm_degradation(job, req.solver)
-        job["_trace"] = obs.inject()
-        result = await self.batcher.submit(job)
-        self._adopt_spans(result)
-        if "error" in result:
-            return self._error_status(result), self._worker_error(result)
-        encoded = EncodedResult.of(result)
-        if result.get("degraded"):
-            self.metrics.counter("degraded_total").inc()
-        else:  # never cache degraded
-            self.cache.put(key, encoded)
-        return 200, encoded
+    def _solve(self, key: str, job: dict) -> asyncio.Future:
+        """Submit one miss's job and record its outcome under ``key``.
+
+        The outcome, ``(status, error body or EncodedResult)``, is shared
+        by every request for ``key`` until the solve ends.  The callback
+        that settles it runs in a copy of this request's context, so the
+        worker's spans land on this request's trace.
+        """
+        outcome = asyncio.get_running_loop().create_future()
+        self._solving[key] = outcome
+
+        def settle(done: asyncio.Future) -> None:
+            del self._solving[key]
+            try:
+                result = done.result()
+                self._adopt_spans(result)
+                if "error" in result:
+                    settled = self._error_status(result), self._worker_error(result)
+                else:
+                    encoded = EncodedResult.of(result)
+                    if result.get("degraded"):
+                        self.metrics.counter("degraded_total").inc()
+                    else:  # never cache degraded
+                        self.cache.put(key, encoded)
+                    settled = 200, encoded
+            except BaseException as exc:  # a torn-down dispatch included
+                outcome.set_exception(exc)
+            else:
+                outcome.set_result(settled)
+
+        self.batcher.submit(job).add_done_callback(settle)
+        return outcome
 
     def _admission_for(self, req: AdmitRequest):
         """The per-platform admission session for one request (created lazily)."""
@@ -488,13 +497,23 @@ class SchedulingService:
             "default_optimal": "interior-point",
         }
 
-    def _arm_degradation(self, job: dict, canonical_solver: str) -> None:
-        """Attach timeout/fallback to jobs running an exact backend.
+    def _job(self, req, tasks: list, canonical_solver: str, **fields) -> dict:
+        """The pool job of one solve request: its sorted ``tasks``, its
+        platform, ``fields``, and the request's trace context.
 
-        Only ``optimal:*`` solves are bounded — the registered heuristics
-        are polynomial-time and cheap, and bounding them would cost one
-        watchdog thread per solve for nothing.
+        A job running an exact backend also carries the solver timeout and
+        fallback.  Only ``optimal:*`` solves are bounded — the registered
+        heuristics are polynomial-time and cheap, and bounding them would
+        cost one watchdog thread per solve for nothing.
         """
+        job = {
+            "tasks": [(t.release, t.deadline, t.work, t.name) for t in tasks],
+            "m": req.m,
+            "alpha": req.power.alpha,
+            "static": req.power.static,
+            "gamma": req.power.gamma,
+            **fields,
+        }
         if (
             self.config.solver_timeout > 0
             and canonical_solver.startswith("optimal:")
@@ -502,6 +521,8 @@ class SchedulingService:
             job["timeout_s"] = self.config.solver_timeout
             if self.config.degrade_to:
                 job["fallback"] = self.config.degrade_to
+        job["_trace"] = obs.inject()
+        return job
 
     @staticmethod
     def _error_status(result: dict) -> int:
@@ -522,16 +543,7 @@ class SchedulingService:
             default_static=self.config.static,
         )
         tasks = sorted(req.tasks, key=canonical_order)
-        job = {
-            "tasks": [(t.release, t.deadline, t.work, t.name) for t in tasks],
-            "m": req.m,
-            "alpha": req.power.alpha,
-            "static": req.power.static,
-            "gamma": req.power.gamma,
-            "solver": req.solver,
-        }
-        self._arm_degradation(job, req.canonical_solver)
-        job["_trace"] = obs.inject()
+        job = self._job(req, tasks, req.canonical_solver, solver=req.solver)
         result = await self.dispatcher.solve_optimal(job)
         self._adopt_spans(result)
         if "error" in result:

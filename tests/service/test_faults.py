@@ -205,6 +205,27 @@ class TestThreadModeSupervision:
         assert result["energy"] > 0
         assert metrics.counter("job_retries").value == 1
 
+    def test_abandoned_optimal_dispatch_answers_with_an_error(self):
+        metrics = MetricsRegistry()
+        dispatcher = SolveDispatcher(
+            0,
+            metrics=metrics,
+            retry=RetryPolicy(max_retries=0),
+            injector=FaultInjector(FaultSpec.parse("kill=1.0,seed=3")),
+        )
+        carrier = {"trace_id": "cd" * 16, "parent": "ab" * 8,
+                   "enqueued_at": time.time()}
+        job = {**_job(), "solver": "optimal:slsqp", "_trace": carrier}
+        job.pop("method")
+        result = asyncio.run(dispatcher.solve_optimal(job))
+        assert result["abandoned"] is True
+        assert "crash" in result["error"]
+        (attempt,) = result["_spans"]
+        assert attempt["name"] == "pool.attempt"
+        assert attempt["attrs"]["outcome"] == "abandoned"
+        assert attempt["trace_id"] == carrier["trace_id"]
+        assert metrics.counter("jobs_abandoned").value == 1
+
     def test_retry_delay_is_jittered_exponential(self):
         import random
 

@@ -132,6 +132,66 @@ class TestScheduleEndpoint:
         assert summary["scheduled_traces"] == 1
         assert summary["incomplete_traces"] == 0
 
+    def test_a_backlog_holds_no_task_per_miss(self):
+        """Six distinct misses behind one held slot wait on futures: the
+        one dispatch task is the only task on the solve path."""
+
+        def on_solve_path(task) -> bool:
+            name = task.get_coro().__qualname__
+            # before Python 3.12, asyncio.wait_for runs each handler in a
+            # task of its own
+            return name.startswith("MicroBatcher.") or (
+                name.startswith("SchedulingService.")
+                and name != "SchedulingService._handle_schedule"
+            )
+
+        async def scenario(service):
+            assert service.batcher.slots == 1
+            release = _hold_dispatch(service)
+            clients = [
+                asyncio.ensure_future(request_once(
+                    "127.0.0.1", service.port, "POST", "/schedule",
+                    _schedule_payload(tasks=[[0.0, 10.0, 1.0 + i]]),
+                ))
+                for i in range(6)
+            ]
+            misses = service.metrics.counter("cache_misses")
+
+            async def all_probed():
+                while misses.value < 6:
+                    await asyncio.sleep(0.01)
+
+            await asyncio.wait_for(all_probed(), timeout=30)
+            solve_tasks = sum(map(on_solve_path, asyncio.all_tasks()))
+            queued = service.batcher.pending
+            release.set()
+            results = await asyncio.wait_for(asyncio.gather(*clients), timeout=30)
+            assert [status for status, _ in results] == [200] * 6
+            assert (solve_tasks, queued, service.batcher.jobs) == (1, 5, 6)
+
+        run_with_service(scenario)
+
+    def test_hit_answers_the_method_spelling_of_the_solve_that_filled_it(self):
+        """`der` and `subinterval-der` share one entry, and its `method` is
+        the spelling of the request whose solve filled it."""
+
+        async def scenario(service):
+            replies = []
+            for method in ("der", "subinterval-der"):
+                status, body = await request_once(
+                    "127.0.0.1", service.port, "POST", "/schedule",
+                    _schedule_payload(method=method),
+                )
+                assert status == 200
+                replies.append(body)
+            first, second = replies
+            assert [first["cache_hit"], second["cache_hit"]] == [False, True]
+            for body in replies:
+                assert body["method"] == "der"
+                assert body["solver"] == "subinterval-der"
+
+        run_with_service(scenario)
+
     def test_miss_past_its_deadline_leaves_its_solve_running(self):
         async def scenario(service):
             release = _hold_dispatch(service)
@@ -250,15 +310,13 @@ class TestRobustness:
 
     def test_request_deadline_yields_504(self):
         async def scenario(service):
-            async def stuck_dispatch(jobs):
-                await asyncio.sleep(60)
-
-            service.batcher._dispatch = stuck_dispatch
+            release = _hold_dispatch(service)
             status, body = await request_once(
                 "127.0.0.1", service.port, "POST", "/schedule", _schedule_payload()
             )
             assert status == 504
             assert "deadline" in body["error"]
+            release.set()  # stop() waits for every dispatch
 
         run_with_service(scenario, _config(request_timeout=0.2, batch_max=1))
 
