@@ -4,9 +4,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint test test-dev perfbench-test bench bench-collect bench-smoke bench-service-smoke serve-smoke solvers-smoke chaos-smoke obs-smoke incremental-smoke shard-smoke
+.PHONY: check lint test test-dev perfbench-test bench bench-collect bench-smoke bench-service-smoke bench-columnar-smoke serve-smoke solvers-smoke chaos-smoke obs-smoke incremental-smoke shard-smoke
 
-check: lint test perfbench-test bench-collect solvers-smoke incremental-smoke serve-smoke chaos-smoke obs-smoke shard-smoke bench-smoke bench-service-smoke
+check: lint test perfbench-test bench-collect solvers-smoke incremental-smoke serve-smoke chaos-smoke obs-smoke shard-smoke bench-smoke bench-service-smoke bench-columnar-smoke
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -48,6 +48,13 @@ bench-smoke:
 # backlog through a fault-free process pool
 bench-service-smoke:
 	$(PYTHON) -m benchmarks.bench_service_throughput --smoke
+
+# validated vs unvalidated subinterval-der solves at n=20 and n=1000, and
+# one /schedule miss's result encode: the worker's columnar bytes must equal
+# json.dumps of the result dict, and validating must cost under 1.5x the
+# unvalidated solve at n=1000 (n=20 is reported, not gated)
+bench-columnar-smoke:
+	$(PYTHON) -m benchmarks.bench_columnar --smoke
 
 # replay a seeded 500-event arrival/completion/advance stream through the
 # incremental session per policy; every delta plan must match a fresh batch

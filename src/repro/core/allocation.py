@@ -226,13 +226,14 @@ def _waterfill_capped(
     argmax over the cumulative-sum matrix — no per-task loop.
 
     ``w`` is the ``(n_tasks, H)`` weight matrix of the heavy columns (zero
-    outside coverage), ``delta`` the column lengths.  Columns whose total
+    outside coverage), ``delta`` the column lengths.  Returns the
+    allocation and each column's total weight.  Columns whose total
     weight is zero return all-zero allocations; the caller applies the
     even-split fallback there.
     """
     n, H = w.shape
     if H == 0:
-        return np.zeros((n, 0))
+        return np.zeros((n, 0)), np.zeros(0)
     T = m * delta
     # the number of capped tasks never exceeds m, so only the m + 1 largest
     # weights per column matter
@@ -246,34 +247,38 @@ def _waterfill_capped(
     # an ulp, which would break bit-equality between a column computed at
     # ``n`` rows and the same column spliced unchanged through an
     # ``(n+1)``-row rebuild (see :mod:`repro.core.incremental`).
-    sw = -np.sort(-w, axis=0)  # (n, H) descending per column; zeros trail
-    csum = np.cumsum(sw, axis=0)
+    sw = np.sort(w, axis=0)[::-1]  # (n, H) descending per column; zeros trail
+    # csum[k] is the weight removed before step k (csum[0] = 0), and
+    # csum[n] the column total
+    csum = np.empty((n + 1, H))
+    csum[0] = 0.0
+    np.cumsum(sw, axis=0, out=csum[1:])
     ws = sw[:K]  # (K, H) descending top weights per column
-    wtot = csum[-1]
-    P = csum[:K]
-    prefix = np.vstack([np.zeros((1, H)), P[:-1]])  # weight removed before step k
-    k = np.arange(K, dtype=np.float64)[:, None]
+    wtot = csum[n]
+    prefix = csum[:K]
+    # room[k]: the time left once the k heaviest tasks are capped at Δ
+    room = T - np.arange(K, dtype=np.float64)[:, None] * delta
     # the remaining-pool clamp keeps the k = m row exactly true (0 <= 0)
     # even when fp dust drives wtot - prefix a hair negative
-    uncapped = ws * (T[None, :] - k * delta[None, :]) <= delta[None, :] * np.maximum(
-        wtot[None, :] - prefix, 0.0
-    )
+    uncapped = ws * room <= delta * np.maximum(wtot - prefix, 0.0)
     # first uncapped position = number of capped tasks; guaranteed to exist
     # for heavy columns (at k = m the remaining capacity is zero)
     kstar = np.argmax(uncapped, axis=0)
     cols = np.arange(H)
-    t_rem = np.maximum(T - kstar * delta, 0.0)
+    t_rem = np.maximum(room[kstar, cols], 0.0)
     w_rem = wtot - prefix[kstar, cols]
-    r = np.divide(t_rem, w_rem, out=np.zeros(H), where=w_rem > 0)
-    alloc = np.minimum(w * r[None, :], delta[None, :])
+    live = w_rem > 0
+    r = np.divide(t_rem, w_rem, out=np.zeros(H), where=live)
+    alloc = np.multiply(w, r, out=np.empty_like(w))
+    np.minimum(alloc, delta, out=alloc)
     # columns where every positive-weight task was capped before the pool
     # emptied (w_rem == 0 with time left): each of them holds Δ outright
-    exhausted = ~(w_rem > 0)
+    exhausted = ~live
     if exhausted.any():
         alloc[:, exhausted] = np.where(
             w[:, exhausted] > 0, delta[exhausted], 0.0
         )
-    return alloc
+    return alloc, wtot
 
 
 def assemble_columns(
@@ -296,30 +301,32 @@ def assemble_columns(
     """
     counts = cov.sum(axis=0)
     heavy = counts > m
-
-    # Observation 2: light subintervals grant the full length to every
-    # overlapping task; heavy columns are overwritten below
-    x = np.where(cov, lengths[None, :], 0.0)
-
     if not heavy.any():
-        return x
+        # Observation 2: light subintervals grant the full length to every
+        # overlapping task
+        return np.where(cov, lengths[None, :], 0.0)
 
-    d_h = lengths[heavy]
-    n_h = counts[heavy]
-    cov_h = cov[:, heavy]
+    # columns that are all heavy (most session deltas) need no gathers
+    all_heavy = heavy.all()
+    h = slice(None) if all_heavy else heavy
+    d_h = lengths[h]
+    n_h = counts[h]
+    cov_h = cov[:, h]
     if base == "even":
-        x[:, heavy] = np.where(cov_h, np.minimum(m * d_h / n_h, d_h), 0.0)
-        return x
-
-    assert der is not None
-    w = np.where(cov_h, der[:, heavy], 0.0)
-    alloc = _waterfill_capped(w, d_h, m)
-    # all-zero-DER columns: proportional shares are undefined — even split,
-    # mirroring allocate_proportional's fallback
-    zero = w.sum(axis=0) <= 0.0
-    if zero.any():
-        even = np.where(cov_h, np.minimum(m * d_h / n_h, d_h), 0.0)
-        alloc[:, zero] = even[:, zero]
+        alloc = np.where(cov_h, np.minimum(m * d_h / n_h, d_h), 0.0)
+    else:
+        assert der is not None
+        w = np.where(cov_h, der[:, h], 0.0)
+        alloc, wtot = _waterfill_capped(w, d_h, m)
+        # all-zero-DER columns: proportional shares are undefined — even
+        # split, mirroring allocate_proportional's fallback
+        zero = wtot <= 0.0
+        if zero.any():
+            even = np.where(cov_h, np.minimum(m * d_h / n_h, d_h), 0.0)
+            alloc[:, zero] = even[:, zero]
+    if all_heavy:
+        return alloc
+    x = np.where(cov, lengths[None, :], 0.0)
     x[:, heavy] = alloc
     return x
 

@@ -69,18 +69,19 @@ def refine_frequencies(
     available_times = np.asarray(available_times, dtype=np.float64)
     if works.shape != available_times.shape:
         raise ValueError("works and available_times must have the same shape")
-    if np.any((available_times <= 0) & (works > 0)):
+    busy = works > 0
+    if ((available_times <= 0) & busy).any():
         raise ValueError("task with positive work has zero available time")
 
     f_crit = power.critical_frequency()
     with np.errstate(divide="ignore", invalid="ignore"):
-        f_min = np.where(works > 0, works / np.maximum(available_times, 1e-300), 0.0)
+        f_min = np.where(busy, works / np.maximum(available_times, 1e-300), 0.0)
     freqs = np.maximum(f_crit, f_min)
     # tasks with zero work get a harmless placeholder frequency
-    freqs = np.where(works > 0, freqs, max(f_crit, 1.0))
-    used = np.where(works > 0, works / freqs, 0.0)
-    energies = np.where(works > 0, np.asarray(power.energy_per_work(freqs)) * works, 0.0)
-    clamped = (works > 0) & (freqs > f_min * (1 + 1e-12))
+    freqs = np.where(busy, freqs, max(f_crit, 1.0))
+    used = np.where(busy, works / freqs, 0.0)
+    energies = np.where(busy, np.asarray(power.energy_per_work(freqs)) * works, 0.0)
+    clamped = busy & (freqs > f_min * (1 + 1e-12))
     return FrequencyAssignment(
         frequencies=freqs, used_times=used, energies=energies, clamped=clamped
     )

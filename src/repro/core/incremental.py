@@ -202,14 +202,18 @@ class ScheduleSession:
         self._ideal_f[row] = f
         self._ideal_dur[row] = min(self._wrk[row] / f, window)
 
-    def _recompute_cols(self, cols: np.ndarray) -> None:
-        """Re-run the shared column assembly over ``cols`` only."""
-        if cols.size == 0:
-            return
+    def _recompute_cols(self, cols: slice | np.ndarray) -> None:
+        """Re-run the shared column assembly over ``cols`` only.
+
+        A delta's window is one contiguous run of columns, passed as a
+        slice so its coverage is a view rather than a gathered copy.
+        """
         starts = self._b[:-1][cols]
+        if starts.size == 0:
+            return
         ends = self._b[1:][cols]
         cov = self._cov[:, cols]
-        lengths = (self._b[1:] - self._b[:-1])[cols]
+        lengths = ends - starts
         der = None
         if self.method == "der":
             # same elementwise chain as IdealSolution.overlap_with/der_matrix,
@@ -261,7 +265,10 @@ class ScheduleSession:
             else:
                 touched = self._splice_in(row, R, D, C)
             self._handles.insert(row, handle)
-            self._rows = {h: i for i, h in enumerate(self._handles)}
+            if row == n:
+                self._rows[handle] = row
+            else:
+                self._rows = {h: i for i, h in enumerate(self._handles)}
             self._refresh()
             self._note("add_task", touched, t0, sp)
         return handle
@@ -283,60 +290,50 @@ class ScheduleSession:
     def _splice_in(self, row: int, R: float, D: float, C: float) -> int:
         old_b = self._b
         J = old_b.size - 1
-        n = len(self._handles)
 
+        # left insertion points; a value already on the grid adds no boundary
+        iR, iD = np.searchsorted(old_b, (R, D)).tolist()
+        new_R = not (iR <= J and old_b[iR] == R)
+        new_D = not (iD <= J and old_b[iD] == D)
         # perturbed window: if R (D) splits an old column, the whole old
         # column is perturbed; otherwise the window starts (ends) at R (D)
-        lo, hi = R, D
-        jR = int(np.searchsorted(old_b, R, side="right")) - 1
-        if 0 <= jR < J and old_b[jR] < R:
-            lo = float(old_b[jR])
-        jD = int(np.searchsorted(old_b, D, side="right")) - 1
-        if 0 <= jD < J and old_b[jD] < D:
-            hi = float(old_b[jD + 1])
+        lo = float(old_b[iR - 1]) if new_R and 0 < iR <= J else R
+        hi = float(old_b[iD]) if new_D and 0 < iD <= J else D
 
         # boundary multiset: insert R/D where new, bump the event count
-        pos: list[int] = []
-        vals: list[float] = []
-        for v in (R, D):
-            i = int(np.searchsorted(old_b, v))
-            if not (i < old_b.size and old_b[i] == v):
-                pos.append(i)
-                vals.append(v)
-        new_b = np.insert(old_b, pos, vals) if vals else old_b.copy()
-        new_bcount = np.insert(self._bcount, pos, 0) if vals else self._bcount.copy()
-        for v in (R, D):
-            new_bcount[int(np.searchsorted(new_b, v))] += 1
+        at = [i for i, new in ((iR, new_R), (iD, new_D)) if new]
+        new_b = _inserted(old_b, at, [v for v, new in ((R, new_R), (D, new_D)) if new])
+        new_bcount = _inserted(self._bcount, at, [0] * len(at))
+        new_bcount[iR] += 1
+        new_bcount[iD + new_R] += 1  # a new R went in before D
 
         starts, ends = new_b[:-1], new_b[1:]
-        # containing old column per new column (valid where the new column
-        # lies inside the old horizon); coverage/allocation gathers from it
-        j_old = np.searchsorted(old_b, starts, side="right") - 1
-        safe = np.clip(j_old, 0, J - 1)
-        valid = (j_old >= 0) & (j_old < J) & (old_b[safe + 1] >= ends)
-        touched = (starts >= lo) & (ends <= hi)
-        copy = valid & ~touched
+        # containing old column per new column, clipped into range: inside
+        # the old horizon the new grid refines the old one, and outside it
+        # (valid False) nothing is gathered
+        j_old = np.searchsorted(old_b[1:-1], starts, side="right")
+        valid = (starts >= old_b[0]) & (ends <= old_b[J])
+        # the window's columns, which _recompute_cols overwrites
+        touched = slice(
+            int(np.searchsorted(starts, lo)),
+            int(np.searchsorted(ends, hi, side="right")),
+        )
 
-        cov_rows = np.zeros((n, starts.size), dtype=bool)
-        cov_rows[:, valid] = self._cov[:, safe[valid]]
-        cov_new_row = (R <= starts) & (D >= ends)
-        self._cov = np.insert(cov_rows, row, cov_new_row, axis=0)
+        self._cov = _regrid(self._cov, j_old, valid, row, insert=True)
+        self._cov[row] = (R <= starts) & (D >= ends)
+        self._x = _regrid(self._x, j_old, valid, row, insert=True)
+        self._x[row] = 0.0
 
-        x_rows = np.zeros((n, starts.size))
-        x_rows[:, copy] = self._x[:, safe[copy]]
-        self._x = np.insert(x_rows, row, 0.0, axis=0)
-
-        self._rel = np.insert(self._rel, row, R)
-        self._dls = np.insert(self._dls, row, D)
-        self._wrk = np.insert(self._wrk, row, C)
-        self._ideal_f = np.insert(self._ideal_f, row, 0.0)
-        self._ideal_dur = np.insert(self._ideal_dur, row, 0.0)
+        self._rel = _inserted(self._rel, [row], [R])
+        self._dls = _inserted(self._dls, [row], [D])
+        self._wrk = _inserted(self._wrk, [row], [C])
+        self._ideal_f = _inserted(self._ideal_f, [row], [0.0])
+        self._ideal_dur = _inserted(self._ideal_dur, [row], [0.0])
         self._ideal_entry(row)
         self._b = new_b
         self._bcount = new_bcount
-        cols = np.flatnonzero(touched)
-        self._recompute_cols(cols)
-        return cols.size
+        self._recompute_cols(touched)
+        return touched.stop - touched.start
 
     def complete_task(self, handle: int) -> DeltaStats:
         """Retire a finished task (structurally identical to removal)."""
@@ -366,8 +363,7 @@ class ScheduleSession:
         J = old_b.size - 1
         R, D = float(self._rel[row]), float(self._dls[row])
 
-        iR = int(np.searchsorted(old_b, R))
-        iD = int(np.searchsorted(old_b, D))
+        iR, iD = np.searchsorted(old_b, (R, D)).tolist()
         new_bcount = self._bcount.copy()
         new_bcount[iR] -= 1
         new_bcount[iD] -= 1
@@ -389,35 +385,31 @@ class ScheduleSession:
         # every new boundary is an old boundary, so the containment check
         # reduces to "was this exact column present before?"
         j_old = np.searchsorted(old_b, starts)
-        valid = old_b[np.minimum(j_old + 1, J)] == ends
-        touched = (starts >= lo) & (ends <= hi)
-        copy = valid & ~touched
+        valid = old_b[j_old + 1] == ends
+        touched = slice(
+            int(np.searchsorted(starts, lo)),
+            int(np.searchsorted(ends, hi, side="right")),
+        )
 
-        n = len(self._handles)
-        cov_rows = np.zeros((n, starts.size), dtype=bool)
-        cov_rows[:, valid] = self._cov[:, j_old[valid]]
+        self._rel = _deleted(self._rel, row)
+        self._dls = _deleted(self._dls, row)
+        self._wrk = _deleted(self._wrk, row)
+        self._ideal_f = _deleted(self._ideal_f, row)
+        self._ideal_dur = _deleted(self._ideal_dur, row)
+
+        self._cov = _regrid(self._cov, j_old, valid, row, insert=False)
         inv = ~valid
         if inv.any():
             # merged columns: recompute coverage directly (exact predicate)
-            cov_rows[:, inv] = (self._rel[:, None] <= starts[inv][None, :]) & (
+            self._cov[:, inv] = (self._rel[:, None] <= starts[inv][None, :]) & (
                 self._dls[:, None] >= ends[inv][None, :]
             )
-        self._cov = np.delete(cov_rows, row, axis=0)
+        self._x = _regrid(self._x, j_old, valid, row, insert=False)
 
-        x_rows = np.zeros((n, starts.size))
-        x_rows[:, copy] = self._x[:, j_old[copy]]
-        self._x = np.delete(x_rows, row, axis=0)
-
-        self._rel = np.delete(self._rel, row)
-        self._dls = np.delete(self._dls, row)
-        self._wrk = np.delete(self._wrk, row)
-        self._ideal_f = np.delete(self._ideal_f, row)
-        self._ideal_dur = np.delete(self._ideal_dur, row)
         self._b = new_b
         self._bcount = new_bcount
-        cols = np.flatnonzero(touched)
-        self._recompute_cols(cols)
-        return cols.size
+        self._recompute_cols(touched)
+        return touched.stop - touched.start
 
     def advance_to(
         self, t: float, works: Mapping[int, float] | None = None
@@ -564,9 +556,10 @@ class ScheduleSession:
         if self.is_empty or self._assign is None:
             return []
         ps = pack_matrix_flat(self._b, self._x, self.m, self._cov.sum(axis=0))
-        return fill_slots(
+        columns = fill_slots(
             ps, self._assign.used_times, self._assign.frequencies, before
         )
+        return list(map(Segment, *(c.tolist() for c in columns)))
 
     def __repr__(self) -> str:
         return (
@@ -574,3 +567,40 @@ class ScheduleSession:
             f"subintervals, method={self.method!r}, m={self.m})"
         )
 
+
+def _inserted(a: np.ndarray, at: list[int], values: list) -> np.ndarray:
+    """``np.insert(a, at, values)`` for a 1-D ``a`` and ascending ``at``.
+
+    One concatenate: ``np.insert`` costs several times more on a
+    session's short arrays, and every delta splices several of them.
+    """
+    parts, prev = [], 0
+    for i, v in zip(at, values):
+        parts += (a[prev:i], (v,))
+        prev = i
+    parts.append(a[prev:])
+    return np.concatenate(parts)
+
+
+def _deleted(a: np.ndarray, row: int) -> np.ndarray:
+    """``np.delete(a, row)`` for a 1-D ``a``, as one concatenate."""
+    return np.concatenate((a[:row], a[row + 1:]))
+
+
+def _regrid(
+    a: np.ndarray, cols: np.ndarray, valid: np.ndarray, row: int, insert: bool
+) -> np.ndarray:
+    """``a[:, cols]``, zero where not ``valid``, with ``row`` added or dropped.
+
+    The row splice and the column gather share one copy: the row blocks
+    above and below ``row`` are each taken straight into place.  An
+    inserted row is left for the caller to fill.  ``cols`` must lie in
+    range (``mode="clip"`` only skips the buffered bounds check).
+    """
+    rest = a[row:] if insert else a[row + 1:]
+    out = np.empty((a.shape[0] + (1 if insert else -1), cols.size), dtype=a.dtype)
+    a[:row].take(cols, axis=1, out=out[:row], mode="clip")
+    rest.take(cols, axis=1, out=out[out.shape[0] - rest.shape[0]:], mode="clip")
+    if not valid.all():
+        out[:, ~valid] = 0
+    return out

@@ -106,9 +106,9 @@ class PracticalScheduler:
         # emitted schedule stays physically valid (it completes less work)
         used_times = np.minimum(used_times, plan.available_times)
 
-        segments = fill_slots(planner._slots_flat(plan), used_times, chosen)
+        columns = fill_slots(planner._slots_flat(plan), used_times, chosen)
         # rebind to the discrete model so energy comes from the table
-        schedule = Schedule(tasks, planner.m, self.fset, segments)
+        schedule = Schedule.from_columns(tasks, planner.m, self.fset, *columns)
         return PracticalResult(
             schedule=schedule,
             frequencies=chosen,

@@ -28,7 +28,7 @@ from .allocation import AllocationMethod, AllocationPlan, build_allocation_plan
 from .frequency import refine_frequencies
 from .ideal import IdealSolution, solve_ideal
 from .intervals import Timeline
-from .schedule import Schedule, Segment
+from .schedule import Schedule
 from .task import TaskSet
 from .wrap_schedule import PackedSlots, pack_matrix_flat
 
@@ -166,14 +166,14 @@ class SubintervalScheduler:
 
     def _final(self, plan: AllocationPlan, kind: str) -> SchedulingResult:
         assign = refine_frequencies(self.tasks.works, plan.available_times, self.power)
-        segments = fill_slots(
+        columns = fill_slots(
             self._slots_flat(plan), assign.used_times, assign.frequencies
         )
         return SchedulingResult(
             kind=kind,
             energy=assign.total_energy,
             plan=plan,
-            schedule=Schedule(self.tasks, self.m, self.power, segments),
+            schedule=Schedule.from_columns(self.tasks, self.m, self.power, *columns),
             frequencies=assign.frequencies,
         )
 
@@ -210,19 +210,20 @@ class SubintervalScheduler:
             np.sum(np.asarray(self.power.power(freq[active])) * time_used[active])
         )
 
-        segments = self._intermediate_segments(plan, time_used, freq, active)
-        schedule = Schedule(self.tasks, self.m, self.power, segments)
+        columns = self._intermediate_columns(plan, time_used, freq, active)
+        schedule = Schedule.from_columns(self.tasks, self.m, self.power, *columns)
         kind = "I1" if method == "even" else "I2"
         return SchedulingResult(kind=kind, energy=energy, plan=plan, schedule=schedule)
 
-    def _intermediate_segments(
+    def _intermediate_columns(
         self,
         plan: AllocationPlan,
         time_used: np.ndarray,
         freq: np.ndarray,
         active: np.ndarray,
-    ) -> list[Segment]:
-        """Concrete segments for an intermediate schedule.
+    ) -> tuple[np.ndarray, ...]:
+        """Segment columns (task, core, start, end, frequency) for an
+        intermediate schedule.
 
         Within each subinterval the *used* times (≤ allocated times) are
         packed with Algorithm 1 directly, so feasibility follows from the
@@ -235,15 +236,12 @@ class SubintervalScheduler:
         )
         keep = ps.durations > _EPS
         task = ps.task[keep]
-        return list(
-            map(
-                Segment,
-                task.tolist(),
-                ps.core[keep].tolist(),
-                ps.start[keep].tolist(),
-                ps.end[keep].tolist(),
-                freq[task, ps.sub[keep]].tolist(),
-            )
+        return (
+            task,
+            ps.core[keep],
+            ps.start[keep],
+            ps.end[keep],
+            freq[task, ps.sub[keep]],
         )
 
     # -- one-call convenience --------------------------------------------------------------
@@ -263,18 +261,20 @@ def fill_slots(
     used_times: np.ndarray,
     frequencies: np.ndarray,
     before: float | None = None,
-) -> list[Segment]:
+) -> tuple[np.ndarray, ...]:
     """Cut each task's earliest slots down to its used time, batched.
 
     Per task (slots in time order) the kept prefix is a cumulative-sum
     cut: slot ``k`` contributes ``clip(used − prefix_k, 0, duration_k)``.
-    ``before`` drops the segments starting at or after it.  Segments come
-    back in :class:`Schedule` order, ``(start, core, task_id)``: the online
-    driver subtracts executed work in this order, and its bit-equality with
-    a batch rebuild depends on it.
+    ``before`` drops the segments starting at or after it.  Returns the
+    segment columns ``(task, core, start, end, frequency)`` in
+    :class:`Schedule` order, ``(start, core, task)``: the online driver
+    subtracts executed work in this order, and its bit-equality with a
+    batch rebuild depends on it.
     """
     if len(ps) == 0:
-        return []
+        ints, floats = np.empty(0, np.int64), np.empty(0)
+        return ints, ints, floats, floats, floats
     n = used_times.size
     order = np.lexsort((ps.start, ps.task))
     t = ps.task[order]
@@ -304,16 +304,7 @@ def fill_slots(
     end = start + take[keep]
     seg = np.lexsort((t, core, start))
     t = t[seg]
-    return list(
-        map(
-            Segment,
-            t.tolist(),
-            core[seg].tolist(),
-            start[seg].tolist(),
-            end[seg].tolist(),
-            frequencies[t].tolist(),
-        )
-    )
+    return t, core[seg], start[seg], end[seg], frequencies[t]
 
 
 def schedule_taskset(

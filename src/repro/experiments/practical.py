@@ -53,9 +53,9 @@ def discrete_evaluation(
     """
     if len(schedule) == 0:
         return DiscreteEvaluation(energy=0.0, missed_tasks=())
-    freqs = np.array([s.frequency for s in schedule])
-    works = np.array([s.work for s in schedule])
-    task_ids = np.array([s.task_id for s in schedule])
+    freqs = schedule.frequency
+    works = freqs * (schedule.end - schedule.start)
+    task_ids = schedule.task
     q = fset.quantize_up(freqs)
     chosen = q.frequencies.copy()
     chosen[~q.feasible] = fset.f_max

@@ -117,11 +117,12 @@ async def _check_supervision(seed: int, smoke: Smoke) -> dict:
 
     if any("error" in r for r in retried):
         smoke.fail(f"supervised retry produced errors: {retried}")
-    energies = [r.get("energy") for r in retried]
-    expected = [r.get("energy") for r in baseline]
-    if energies != expected:
+    # each solved job is its result's encoded bytes
+    replies = [r.get("encoded") for r in retried]
+    expected = [r.get("encoded") for r in baseline]
+    if None in expected or replies != expected:
         smoke.fail(
-            f"retried energies {energies} != unfaulted energies {expected} "
+            f"retried results {replies} != unfaulted results {expected} "
             "(retries must be bit-identical re-executions)"
         )
     if metrics.counter("worker_restarts").value < 1:

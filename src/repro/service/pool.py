@@ -2,7 +2,10 @@
 
 Everything submitted crosses process boundaries, so workers are
 module-level functions of plain-JSON-shaped arguments (the same rule as
-:mod:`repro.experiments.parallel`).  Every executor submission is a list
+:mod:`repro.experiments.parallel`).  A solved ``/schedule`` job comes back
+encoded, as ``{"encoded": EncodedResult}``: the worker writes the result's
+JSON bytes from the schedule's columns, so the event loop only splices
+them into replies.  Every executor submission is a list
 of jobs: one batch from the micro-batcher, or an ``/optimal`` job as a
 list of one.  The batcher keeps at most one batch per worker in flight
 and gives each freed worker its share of a backlog, so a backlog spreads
@@ -43,7 +46,6 @@ import os
 import random
 import signal
 import time
-from bisect import bisect_right
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Callable, Sequence
 
@@ -130,7 +132,7 @@ def _degradation_kwargs(job: dict) -> dict:
 
 def _solve_one_schedule(job: dict) -> dict:
     from ..engine import Platform, SolveRequest, solve
-    from ..io.schedio import schedule_to_dict
+    from .protocol import EncodedResult
 
     tasks, m, power = _build_instance(job)
     request = SolveRequest(tasks=tasks, platform=Platform(m=m, power=power))
@@ -155,10 +157,9 @@ def _solve_one_schedule(job: dict) -> dict:
     for key in ("replans", "iterations", "backend"):
         if key in result.extras:
             out[key] = result.extras[key]
-    if job.get("include_schedule", True) and result.schedule is not None:
-        with obs.traced("pool.pack"):
-            out["schedule"] = schedule_to_dict(result.schedule)
-    return out
+    schedule = result.schedule if job.get("include_schedule", True) else None
+    with obs.traced("pool.pack"):
+        return {"encoded": EncodedResult.of(out, schedule)}
 
 
 def _fuse_key(job: dict) -> tuple | None:
@@ -198,12 +199,12 @@ def _solve_fused(jobs: Sequence[dict]) -> list[dict]:
     range and unshifted (float error ~1 ulp of the offset, far inside the
     validator's 1e-9 tolerance).
     """
-    from ..core.schedule import Schedule, Segment
+    from ..core.schedule import Schedule
     from ..core.scheduler import SubintervalScheduler
     from ..core.task import Task, TaskSet
     from ..engine import resolve_name
-    from ..io.schedio import schedule_to_dict
     from ..power.models import PolynomialPower
+    from .protocol import EncodedResult
 
     m = int(jobs[0]["m"])
     solver = resolve_name(jobs[0]["method"])
@@ -235,25 +236,24 @@ def _solve_fused(jobs: Sequence[dict]) -> list[dict]:
         base += (d1 - r0) + 1.0
 
     result = SubintervalScheduler(TaskSet(fused_tasks), m, power).final(method)
+    fused = result.schedule
 
-    # split segments back per instance (task ids are contiguous per instance)
-    per_instance: list[list[Segment]] = [[] for _ in jobs]
-    for s in result.schedule:
-        j = bisect_right(first_id, s.task_id) - 1
-        off = offsets[j]
-        per_instance[j].append(
-            Segment(
-                task_id=s.task_id - first_id[j],
-                core=s.core,
-                start=s.start - off,
-                end=s.end - off,
-                frequency=s.frequency,
-            )
-        )
-
+    # split the columns back per instance (task ids are contiguous per
+    # instance) and unshift them
     out = []
-    for job, ts, segs in zip(jobs, instances, per_instance):
-        schedule = Schedule(ts, m, power, segs)
+    for j, (job, ts) in enumerate(zip(jobs, instances)):
+        rows = (fused.task >= first_id[j]) & (fused.task < first_id[j + 1])
+        off = offsets[j]
+        schedule = Schedule.from_columns(
+            ts,
+            m,
+            power,
+            fused.task[rows] - first_id[j],
+            fused.core[rows],
+            fused.start[rows] - off,
+            fused.end[rows] - off,
+            fused.frequency[rows],
+        )
         res = {
             "kind": f"S^{result.kind}",
             "energy": schedule.total_energy(),
@@ -262,14 +262,14 @@ def _solve_fused(jobs: Sequence[dict]) -> list[dict]:
             "method": job["method"],
             "solver": solver,
         }
-        if job.get("include_schedule", True):
-            res["schedule"] = schedule_to_dict(schedule)
-        out.append(res)
+        include = job.get("include_schedule", True)
+        out.append({"encoded": EncodedResult.of(res, schedule if include else None)})
     return out
 
 
 def solve_schedule_batch(jobs: Sequence[dict]) -> list[dict]:
-    """Solve a batch of schedule jobs; per-job failures become error dicts.
+    """Solve a batch of schedule jobs into ``{"encoded": EncodedResult}``
+    dicts; per-job failures become error dicts.
 
     Jobs sharing a platform signature (:func:`_fuse_key`) are fused into
     one vectorized solver pass; anything unfusable — ``online`` jobs,

@@ -27,8 +27,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from ..core.schedule import Schedule
 from ..core.task import Task, TaskSet
 from ..engine import UnknownSolverError, resolve_name, solver_names
+from ..io.schedio import schedule_to_json
 from ..io.taskio import taskset_from_dict
 from ..power.models import PolynomialPower
 from .http11 import Raw
@@ -196,11 +198,12 @@ def _encode(payload) -> bytes:
 class EncodedResult(NamedTuple):
     """A ``/schedule`` result as JSON bytes, encoded once per solve.
 
-    The plan cache stores it, and :func:`shape_response` splices it into
-    every reply of that result: the request's ``cache_hit`` flag goes in
-    as the result's last key, and under ``/v1`` the bytes become the
-    envelope's ``result``.  The reply is byte-for-byte ``json.dumps`` of
-    the dict ``{**result, "cache_hit": ...}`` (enveloped under ``/v1``).
+    The pool worker that solved the result encodes it; the plan cache
+    stores it, and :func:`shape_response` splices it into every reply of
+    that result: the request's ``cache_hit`` flag goes in as the result's
+    last key, and under ``/v1`` the bytes become the envelope's
+    ``result``.  The reply is byte-for-byte ``json.dumps`` of the dict
+    ``{**result, "cache_hit": ...}`` (enveloped under ``/v1``).
     ``solver`` and ``degraded_from`` are kept for the ``meta`` block.
     """
 
@@ -210,11 +213,20 @@ class EncodedResult(NamedTuple):
     cache_hit: bool = False
 
     @classmethod
-    def of(cls, result: dict) -> EncodedResult:
-        """Encode a worker's result dict (already rid of its ``_spans``)."""
+    def of(cls, result: dict, schedule: Schedule | None = None) -> EncodedResult:
+        """Encode a result dict, and ``schedule`` as its last key.
+
+        The bytes are ``json.dumps({**result, "schedule":
+        schedule_to_dict(schedule)})``; the schedule's document is written
+        from its columns (:func:`~repro.io.schedio.schedule_to_json`).
+        """
         # the splice appends cache_hit before the closing brace
         assert result and "cache_hit" not in result and "_spans" not in result
-        return cls(_encode(result), *_solver_fields(result))
+        data = _encode(result)
+        if schedule is not None:
+            document = schedule_to_json(schedule, indent=None).encode()
+            data = b"".join((data[:-1], b', "schedule": ', document, b"}"))
+        return cls(data, *_solver_fields(result))
 
 
 _CACHE_HIT = {True: b', "cache_hit": true}', False: b', "cache_hit": false}'}

@@ -5,8 +5,9 @@ Request flow for ``POST /schedule``::
     parse → canonicalize → cache probe ──hit──→ respond (no pool entry)
                                 └─miss─→ micro-batcher → process pool → respond
 
-A miss's result is encoded once and cached as those bytes, which every
-reply of it splices in; concurrent misses for one plan share one solve,
+A miss's result comes back from the pool worker already encoded, and is
+cached as those bytes, which every reply of it splices in; the loop
+encodes no result.  Concurrent misses for one plan share one solve,
 whose outcome a done callback on the batcher's future settles (no task
 per miss).
 
@@ -53,7 +54,6 @@ from .protocol import (
     LEGACY_PATHS,
     ROUTES,
     AdmitRequest,
-    EncodedResult,
     OptimalRequest,
     ProtocolError,
     ScheduleRequest,
@@ -368,8 +368,8 @@ class SchedulingService:
                 if "error" in result:
                     settled = self._error_status(result), self._worker_error(result)
                 else:
-                    encoded = EncodedResult.of(result)
-                    if result.get("degraded"):
+                    encoded = result["encoded"]
+                    if encoded.degraded_from is not None:
                         self.metrics.counter("degraded_total").inc()
                     else:  # never cache degraded
                         self.cache.put(key, encoded)

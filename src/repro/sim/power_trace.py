@@ -81,15 +81,11 @@ def power_trace(schedule: Schedule) -> PowerTrace:
         lo, _ = schedule.tasks.horizon
         return PowerTrace(times=np.array([lo, lo]), levels=np.array([0.0]))
 
-    boundaries = np.unique(
-        np.concatenate(
-            [[s.start for s in schedule], [s.end for s in schedule]]
-        )
-    )
-    starts = np.array([s.start for s in schedule])
-    ends = np.array([s.end for s in schedule])
+    starts, ends = schedule.start, schedule.end
+    boundaries = np.unique(np.concatenate((starts, ends)))
+    # one scalar power() per segment, as Schedule.energy_breakdown does
     powers = np.array(
-        [float(np.asarray(schedule.power.power(s.frequency))) for s in schedule]
+        [float(np.asarray(schedule.power.power(f))) for f in schedule.frequency.tolist()]
     )
 
     levels = np.zeros(len(boundaries) - 1)

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from ..core.schedule import Schedule
 
 __all__ = ["ViolationKind", "Violation", "validate_schedule", "assert_valid"]
@@ -47,24 +49,36 @@ class Violation:
 
 
 def _overlap_violations(
-    items: list, key: str, kind: ViolationKind, tol: float
+    schedule: Schedule, by: str, kind: ViolationKind, tol: float
 ) -> list[Violation]:
-    """Detect pairwise overlaps within a pre-grouped, time-sorted list."""
+    """Overlaps between time-consecutive segments of one core or one task.
+
+    ``by`` names the grouping column (``"core"`` or ``"task"``).  A row
+    overlaps the one before it in its group when it starts more than
+    ``tol`` before that one ends.  The schedule's rows are in ``(start,
+    core, task)`` order, so a stable sort by the group alone orders each
+    group by (start, other id), as a stable sort by start within it would.
+    """
+    group = getattr(schedule, by)
+    order = np.argsort(group, kind="stable")
+    g = group[order]
+    start, end = schedule.start[order], schedule.end[order]
+    hit = (g[1:] == g[:-1]) & (start[1:] < end[:-1] - tol)
     out: list[Violation] = []
-    for a, b in zip(items, items[1:]):
-        if b.start < a.end - tol:
-            out.append(
-                Violation(
-                    kind=kind,
-                    detail=(
-                        f"{key} segments [{a.start:g},{a.end:g}] (task {a.task_id}, "
-                        f"core {a.core}) and [{b.start:g},{b.end:g}] (task "
-                        f"{b.task_id}, core {b.core}) overlap"
-                    ),
-                    task_id=a.task_id,
-                    core=a.core,
-                )
+    for i in np.flatnonzero(hit).tolist():
+        a, b = schedule[int(order[i])], schedule[int(order[i + 1])]
+        out.append(
+            Violation(
+                kind=kind,
+                detail=(
+                    f"{by} {g[i]} segments [{a.start:g},{a.end:g}] (task {a.task_id}, "
+                    f"core {a.core}) and [{b.start:g},{b.end:g}] (task "
+                    f"{b.task_id}, core {b.core}) overlap"
+                ),
+                task_id=a.task_id,
+                core=a.core,
             )
+        )
     return out
 
 
@@ -73,57 +87,58 @@ def validate_schedule(
     tol: float = 1e-9,
     check_completion: bool = True,
 ) -> list[Violation]:
-    """Return all invariant violations of ``schedule`` (empty list = valid)."""
+    """Return all invariant violations of ``schedule`` (empty list = valid).
+
+    The checks read the schedule's columns; a :class:`Violation` is built
+    only for a flagged segment, pair or task.  Violations come in the
+    order window, core, task, work, each in segment, core or task order.
+    """
     violations: list[Violation] = []
     tasks = schedule.tasks
 
     # 1. window containment
-    for s in schedule:
-        r = tasks.releases[s.task_id]
-        d = tasks.deadlines[s.task_id]
-        if s.start < r - tol or s.end > d + tol:
-            violations.append(
-                Violation(
-                    kind=ViolationKind.OUTSIDE_WINDOW,
-                    detail=(
-                        f"task {s.task_id} segment [{s.start:g},{s.end:g}] outside "
-                        f"window [{r:g},{d:g}]"
-                    ),
-                    task_id=s.task_id,
-                    core=s.core,
-                )
+    r = tasks.releases[schedule.task]
+    d = tasks.deadlines[schedule.task]
+    outside = (schedule.start < r - tol) | (schedule.end > d + tol)
+    for i in np.flatnonzero(outside).tolist():
+        s = schedule[i]
+        violations.append(
+            Violation(
+                kind=ViolationKind.OUTSIDE_WINDOW,
+                detail=(
+                    f"task {s.task_id} segment [{s.start:g},{s.end:g}] outside "
+                    f"window [{r[i]:g},{d[i]:g}]"
+                ),
+                task_id=s.task_id,
+                core=s.core,
             )
+        )
 
     # 2. per-core conflicts
-    for core in range(schedule.n_cores):
-        segs = sorted(schedule.segments_of_core(core), key=lambda s: s.start)
-        violations.extend(
-            _overlap_violations(segs, f"core {core}", ViolationKind.CORE_CONFLICT, tol)
-        )
-
+    violations.extend(
+        _overlap_violations(schedule, "core", ViolationKind.CORE_CONFLICT, tol)
+    )
     # 3. intra-task parallelism
-    for tid in range(len(tasks)):
-        segs = sorted(schedule.segments_of_task(tid), key=lambda s: s.start)
-        violations.extend(
-            _overlap_violations(segs, f"task {tid}", ViolationKind.TASK_PARALLEL, tol)
-        )
+    violations.extend(
+        _overlap_violations(schedule, "task", ViolationKind.TASK_PARALLEL, tol)
+    )
 
     # 4. work completion
     if check_completion:
         done = schedule.work_completed()
-        for tid in range(len(tasks)):
-            need = tasks.works[tid]
-            if abs(done[tid] - need) > tol * max(need, 1.0) + tol:
-                violations.append(
-                    Violation(
-                        kind=ViolationKind.WORK_MISMATCH,
-                        detail=(
-                            f"task {tid} completed {done[tid]:g} of required "
-                            f"{need:g}"
-                        ),
-                        task_id=tid,
-                    )
+        need = tasks.works
+        short = np.abs(done - need) > tol * np.maximum(need, 1.0) + tol
+        for tid in np.flatnonzero(short).tolist():
+            violations.append(
+                Violation(
+                    kind=ViolationKind.WORK_MISMATCH,
+                    detail=(
+                        f"task {tid} completed {done[tid]:g} of required "
+                        f"{need[tid]:g}"
+                    ),
+                    task_id=tid,
                 )
+            )
     return violations
 
 

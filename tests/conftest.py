@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
@@ -84,3 +85,16 @@ def run_with_service(test_coro, config: ServiceConfig | None = None):
             return await test_coro(service)
 
     return asyncio.run(runner())
+
+
+def decoded(result: dict) -> dict:
+    """A pool worker's result as the dict its encoded bytes stand for.
+
+    A solved ``/schedule`` job comes back as ``{"encoded": EncodedResult}``
+    (plus ``_spans`` when traced); every other key, and an error dict,
+    passes through unchanged.
+    """
+    out = {k: v for k, v in result.items() if k != "encoded"}
+    if "encoded" in result:
+        out.update(json.loads(result["encoded"].data))
+    return out

@@ -84,11 +84,36 @@ class TestValidation:
             schedule_from_json('{"format": "repro-schedule", "version": 9}')
 
     def test_rejects_non_polynomial_power(self, schedule):
-        import numpy as np
+        # a discrete operating-point table is serializable
+        # (TestDiscretePower); a model the format has no fields for is not
+        from repro.power.models import PowerModel
 
-        from repro.power import DiscreteFrequencySet
+        class Linear(PowerModel):
+            def power(self, f):
+                return f
 
-        fset = DiscreteFrequencySet(np.array([1.0]), np.array([1.0]))
-        bad = schedule.with_power(fset)
+            def critical_frequency(self):
+                return 0.0
+
+        bad = schedule.with_power(Linear())
         with pytest.raises(TypeError, match="PolynomialPower"):
             schedule_to_json(bad)
+
+
+class TestDiscretePower:
+    def test_practical_schedule_round_trips(self):
+        from repro.core.practical_scheduler import PracticalScheduler
+        from repro.power.xscale import xscale_frequency_set
+
+        tasks, _ = random_instance(4, n=8)
+        fset = xscale_frequency_set()
+        schedule = PracticalScheduler(tasks, 3, fset).schedule().schedule
+        doc = schedule_to_dict(schedule)
+        assert doc["version"] == 1
+        assert doc["power"]["frequencies"] == fset.frequencies.tolist()
+        assert doc["power"]["powers"] == fset.powers.tolist()
+        out = schedule_from_json(schedule_to_json(schedule))
+        assert out.power.continuous_fit == fset.continuous_fit
+        assert not out.power.strict
+        assert list(out) == list(schedule)
+        assert out.total_energy() == schedule.total_energy()

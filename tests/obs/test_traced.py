@@ -16,6 +16,7 @@ from repro.engine.registry import _REGISTRY
 from repro.obs import context as obs
 from repro.power import PolynomialPower
 from repro.service.pool import _solve_solo
+from tests.conftest import decoded
 
 _ROWS = [(0.0, 10.0, 4.0), (2.0, 14.0, 5.0), (11.0, 20.0, 6.0)]
 _POWER = PolynomialPower(alpha=3.0, static=0.1)
@@ -123,7 +124,7 @@ class TestTraced:
             "enqueued_at": time.time(),
         }
         result = _solve_solo(_pool_job(_trace=carrier))
-        assert "schedule" in result
+        assert "schedule" in decoded(result)
         names = _by_name(result["_spans"])
         assert {"batch.queue", "pool.solve", "pool.pack", "engine.solve"} <= set(names)
         assert names["pool.pack"]["parent_id"] == names["pool.solve"]["span_id"]
@@ -146,5 +147,5 @@ class TestUntraced:
 
     def test_solo_pool_job_builds_no_span(self, made):
         result = _solve_solo(_pool_job())
-        assert "schedule" in result and "_spans" not in result
+        assert "schedule" in decoded(result) and "_spans" not in result
         assert made == []

@@ -17,7 +17,13 @@ batched or incrementally:
   :func:`repro.optimal.realize_demands`'s augmenting search;
 * :func:`admission_oracle` — capped admission with a new Dinic max flow
   per arrival, behind :class:`~repro.core.admission.AdmissionController`'s
-  live flow.
+  live flow;
+* :func:`validate_segments` — the per-segment, per-core and per-task
+  validator loops behind :func:`repro.sim.validate_schedule`'s column
+  checks;
+* :func:`schedule_json_reference` — ``json.dumps`` of a document whose
+  segment dicts are built from :class:`Segment` objects, behind
+  :func:`repro.io.schedio.schedule_to_json`'s compact writer.
 
 The tests and the benchmarks import this module; nothing under ``src/``
 does.
@@ -25,6 +31,7 @@ does.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +41,7 @@ from repro.core import (
     IdealSolution,
     OnlineResult,
     OnlineSubintervalScheduler,
+    Schedule,
     ScheduleSession,
     Segment,
     Slot,
@@ -45,9 +53,11 @@ from repro.core import (
     allocate_evenly,
     wrap_schedule,
 )
+from repro.io.schedio import schedule_to_dict
 from repro.optimal import DemandRealization
 from repro.optimal.flow import _EPS, _saturated
 from repro.power import PolynomialPower
+from repro.sim.validate import Violation, ViolationKind
 
 __all__ = [
     "FlowResult",
@@ -59,6 +69,8 @@ __all__ = [
     "realize_demands_dinic",
     "scalar_plan",
     "scalar_slots",
+    "schedule_json_reference",
+    "validate_segments",
 ]
 
 
@@ -390,3 +402,94 @@ def admission_oracle(stream, m: int, power: PolynomialPower, f_max: float | None
         session.add_task(task)
         committed.append(task)
         yield True, session.energy - before
+
+
+def _overlap_violations(
+    items: list, key: str, kind: ViolationKind, tol: float
+) -> list[Violation]:
+    """Pairwise overlaps within a pre-grouped, time-sorted segment list."""
+    out: list[Violation] = []
+    for a, b in zip(items, items[1:]):
+        if b.start < a.end - tol:
+            out.append(
+                Violation(
+                    kind=kind,
+                    detail=(
+                        f"{key} segments [{a.start:g},{a.end:g}] (task {a.task_id}, "
+                        f"core {a.core}) and [{b.start:g},{b.end:g}] (task "
+                        f"{b.task_id}, core {b.core}) overlap"
+                    ),
+                    task_id=a.task_id,
+                    core=a.core,
+                )
+            )
+    return out
+
+
+def validate_segments(
+    schedule: Schedule, tol: float = 1e-9, check_completion: bool = True
+) -> list[Violation]:
+    """Every invariant violation, found by walking :class:`Segment` objects:
+    each segment's window, then each core's and each task's segments
+    sorted by start, then each task's completed work."""
+    violations: list[Violation] = []
+    tasks = schedule.tasks
+    for s in schedule:
+        r = tasks.releases[s.task_id]
+        d = tasks.deadlines[s.task_id]
+        if s.start < r - tol or s.end > d + tol:
+            violations.append(
+                Violation(
+                    kind=ViolationKind.OUTSIDE_WINDOW,
+                    detail=(
+                        f"task {s.task_id} segment [{s.start:g},{s.end:g}] outside "
+                        f"window [{r:g},{d:g}]"
+                    ),
+                    task_id=s.task_id,
+                    core=s.core,
+                )
+            )
+    for core in range(schedule.n_cores):
+        segs = sorted(schedule.segments_of_core(core), key=lambda s: s.start)
+        violations.extend(
+            _overlap_violations(segs, f"core {core}", ViolationKind.CORE_CONFLICT, tol)
+        )
+    for tid in range(len(tasks)):
+        segs = sorted(schedule.segments_of_task(tid), key=lambda s: s.start)
+        violations.extend(
+            _overlap_violations(segs, f"task {tid}", ViolationKind.TASK_PARALLEL, tol)
+        )
+    if check_completion:
+        done = np.zeros(len(tasks))
+        for s in schedule:
+            done[s.task_id] += s.work
+        for tid in range(len(tasks)):
+            need = tasks.works[tid]
+            if abs(done[tid] - need) > tol * max(need, 1.0) + tol:
+                violations.append(
+                    Violation(
+                        kind=ViolationKind.WORK_MISMATCH,
+                        detail=(
+                            f"task {tid} completed {done[tid]:g} of required "
+                            f"{need:g}"
+                        ),
+                        task_id=tid,
+                    )
+                )
+    return violations
+
+
+def schedule_json_reference(schedule: Schedule) -> str:
+    """The compact JSON document with one dict per :class:`Segment`."""
+    doc = schedule_to_dict(schedule)
+    doc["segments"] = [
+        {
+            "task": s.task_id,
+            "core": s.core,
+            "start": s.start,
+            "end": s.end,
+            "frequency": s.frequency,
+        }
+        for s in schedule
+    ]
+    return json.dumps(doc)

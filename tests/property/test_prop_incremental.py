@@ -63,6 +63,26 @@ def test_mixed_stream_matches_batch(tasks, m, power, method, rnd):
             _assert_session_matches_batch(session)
 
 
+@given(
+    tasks_strategy(min_size=2, max_size=8),
+    cores_strategy,
+    power_strategy(),
+    method_strategy,
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=40, deadline=None)
+def test_insertion_at_any_row_matches_batch(tasks, m, power, method, rnd):
+    """Arrivals spliced in at any row, first and middle included, with
+    removals between them, equal the batch plan over the rows in order."""
+    session = ScheduleSession(m, power, method=method)
+    for task in tasks:
+        session.add_task(task, index=rnd.randint(0, len(session)))
+        _assert_session_matches_batch(session)
+        if len(session) > 1 and rnd.random() < 0.3:
+            session.remove_task(rnd.choice(session.handles))
+            _assert_session_matches_batch(session)
+
+
 @given(tasks_strategy(min_size=2, max_size=6), cores_strategy, power_strategy(), method_strategy)
 @settings(max_examples=30, deadline=None)
 def test_advance_matches_batch(tasks, m, power, method):

@@ -25,7 +25,7 @@ from repro.service.faults import (
 )
 from repro.service.http11 import request_once
 from repro.service.pool import SolveDispatcher
-from tests.conftest import run_with_service
+from tests.conftest import decoded, run_with_service
 
 _ROWS = [(0.0, 10.0, 6.0), (2.0, 14.0, 5.0), (4.0, 16.0, 7.0)]
 
@@ -156,7 +156,7 @@ class TestThreadModeSupervision:
         """The acceptance bar: retried jobs match unfaulted solves exactly."""
         jobs = _jobs(3)
         clean = SolveDispatcher(0)
-        baseline = asyncio.run(clean.solve_batch(jobs))
+        baseline = [decoded(r) for r in asyncio.run(clean.solve_batch(jobs))]
 
         metrics = MetricsRegistry()
         chaotic = SolveDispatcher(
@@ -165,7 +165,7 @@ class TestThreadModeSupervision:
             retry=RetryPolicy(max_retries=1, backoff_base=0.001),
             injector=FaultInjector(FaultSpec.parse("kill=1.0,seed=3")),
         )
-        results = asyncio.run(chaotic.solve_batch(jobs))
+        results = [decoded(r) for r in asyncio.run(chaotic.solve_batch(jobs))]
 
         assert [r.get("error") for r in results] == [None] * 3
         assert [r["energy"] for r in results] == [
@@ -243,7 +243,7 @@ class TestRealPoolSupervision:
     def test_sigkilled_worker_is_respawned_and_the_job_retried(self):
         """Real ProcessPoolExecutor: SIGKILL a live worker, survive it."""
         clean = SolveDispatcher(0)
-        baseline = asyncio.run(clean.solve_batch([_job()]))
+        baseline = [decoded(r) for r in asyncio.run(clean.solve_batch([_job()]))]
 
         metrics = MetricsRegistry()
         dispatcher = SolveDispatcher(
@@ -263,7 +263,7 @@ class TestRealPoolSupervision:
                 )
                 return await dispatcher.solve_batch([_job()])
 
-            results = asyncio.run(scenario())
+            results = [decoded(r) for r in asyncio.run(scenario())]
         finally:
             dispatcher.shutdown()
 

@@ -16,6 +16,7 @@ from repro.service import SchedulingService, ServiceConfig
 from repro.obs.report import load_spans, trace_summary
 from repro.service.http11 import HttpClient, HttpServer, Raw, request_once
 from repro.service.loadgen import run_loadgen
+from repro.service.protocol import EncodedResult
 from repro.sim import validate_schedule
 from tests.conftest import run_with_service
 
@@ -283,8 +284,9 @@ class TestRobustness:
 
             async def slow_dispatch(jobs):
                 await release.wait()
-                return [{"kind": "S^F2", "energy": 1.0, "n_tasks": 1, "m": 2,
-                         "method": "der"} for _ in jobs]
+                result = {"kind": "S^F2", "energy": 1.0, "n_tasks": 1, "m": 2,
+                          "method": "der"}
+                return [{"encoded": EncodedResult.of(result)} for _ in jobs]
 
             service.batcher._dispatch = slow_dispatch
 

@@ -111,3 +111,33 @@ class TestRegistryServable:
                 assert "schedule" in body
 
         run_with_service(scenario)
+
+    def test_practical_over_schedule_endpoint(self):
+        """The discrete-frequency solver answers 200 with or without its
+        schedule, and the schedule carries the operating-point table."""
+        from repro.io.schedio import schedule_from_dict
+        from repro.power.xscale import xscale_frequency_set
+
+        fset = xscale_frequency_set()
+
+        async def scenario(service):
+            for include in (True, False):
+                status, body = await request_once(
+                    "127.0.0.1", service.port, "POST", "/v1/schedule",
+                    {"tasks": _TASKS, "m": 2, "method": "practical",
+                     "include_schedule": include},
+                )
+                assert status == 200, body
+                result = body["result"]
+                assert result["kind"] == "practical"
+                assert result["energy"] > 0
+                assert ("schedule" in result) is include
+                if include:
+                    schedule = schedule_from_dict(result["schedule"])
+                    power = schedule.power
+                    assert power.frequencies.tolist() == fset.frequencies.tolist()
+                    assert power.powers.tolist() == fset.powers.tolist()
+                    assert power.continuous_fit == fset.continuous_fit
+                    assert schedule.total_energy() == result["energy"]
+
+        run_with_service(scenario)

@@ -22,6 +22,7 @@ import pytest
 
 from repro.service import ServiceConfig
 from repro.service.http11 import HttpClient, request_once
+from repro.service.protocol import EncodedResult
 from tests.conftest import run_with_service
 
 _TASKS = [[0.0, 10.0, 8.0], [2.0, 18.0, 14.0], [4.0, 16.0, 8.0]]
@@ -254,8 +255,9 @@ class TestUnifiedErrors:
 
             async def slow_dispatch(jobs):
                 await release.wait()
-                return [{"kind": "S^F2", "energy": 1.0, "n_tasks": 1,
-                         "m": 2, "method": "der"} for _ in jobs]
+                result = {"kind": "S^F2", "energy": 1.0, "n_tasks": 1,
+                          "m": 2, "method": "der"}
+                return [{"encoded": EncodedResult.of(result)} for _ in jobs]
 
             service.batcher._dispatch = slow_dispatch
 

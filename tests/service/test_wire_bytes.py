@@ -1,10 +1,11 @@
 """Pinned ``/schedule`` reply bytes.
 
-A ``/schedule`` result is encoded once and spliced into every reply of
-it.  Each reply body must still be ``json.dumps`` of the dict it stands
-for: ``v1_envelope({**result, "cache_hit": ...}, meta)`` under ``/v1``,
-the flat ``{**result, "cache_hit": ...}`` at the legacy path, where
-``result`` is the worker's result dict for the same request.
+A ``/schedule`` result is encoded once, by the pool worker that solved
+it, and spliced into every reply of it.  Each reply body must still be
+``json.dumps`` of the dict it stands for: ``v1_envelope({**result,
+"cache_hit": ...}, meta)`` under ``/v1``, the flat ``{**result,
+"cache_hit": ...}`` at the legacy path, where ``result`` is the dict the
+worker's bytes encode for the same request.
 """
 
 import json
@@ -14,7 +15,13 @@ import pytest
 from repro.service import ServiceConfig
 from repro.service.http11 import HttpClient, encode_request
 from repro.service.pool import solve_schedule_batch
-from repro.service.protocol import canonical_order, parse_tasks_field, v1_envelope
+from repro.service.protocol import (
+    ScheduleRequest,
+    canonical_order,
+    canonical_plan_key,
+    parse_tasks_field,
+    v1_envelope,
+)
 from tests.conftest import run_with_service
 
 #: one task named with non-ASCII characters (escaped by json.dumps)
@@ -31,7 +38,11 @@ def _body(**over) -> dict:
 
 
 def _worker_result(body: dict, **job_over) -> dict:
-    """The result dict a pool worker builds for ``body``, solved here."""
+    """The result dict a pool worker encodes for ``body``, solved here.
+
+    The worker's bytes must be ``json.dumps`` output: decoding and
+    re-encoding them gives them back unchanged.
+    """
     tasks = sorted(parse_tasks_field(body["tasks"]), key=canonical_order)
     job = {
         "tasks": [(t.release, t.deadline, t.work, t.name) for t in tasks],
@@ -44,7 +55,9 @@ def _worker_result(body: dict, **job_over) -> dict:
         **job_over,
     }
     (result,) = solve_schedule_batch([job])
-    return result
+    data = result["encoded"].data
+    assert json.dumps(json.loads(data)).encode() == data
+    return json.loads(data)
 
 
 def _expected(path: str, result: dict, cache_hit: bool) -> bytes:
@@ -117,3 +130,27 @@ def test_degraded_result_bytes_and_never_cached(path):
         ServiceConfig(port=0, workers=0, log_interval=0,
                       solver_timeout=_TIMEOUT, degrade_to="subinterval-der"),
     )
+
+
+def test_miss_caches_the_workers_encoded_result():
+    """The event loop encodes nothing on a miss: the plan cache holds the
+    very object the worker returned, and a hit splices its bytes."""
+
+    async def scenario(service):
+        inner, returned = service.batcher._dispatch, []
+
+        async def spy(jobs):
+            results = await inner(jobs)
+            returned.extend(r["encoded"] for r in results)
+            return results
+
+        service.batcher._dispatch = spy
+        (_, (_, _, hit)) = await _send(service, "/v1/schedule", _body(), 2)
+        (encoded,) = returned
+        req = ScheduleRequest.from_body(_body())
+        tasks = sorted(req.tasks, key=canonical_order)
+        key = canonical_plan_key(tasks, req.m, req.power, req.solver)
+        assert service.cache.peek(key) is encoded
+        assert bytes(encoded.data[:-1]) in hit
+
+    run_with_service(scenario, ServiceConfig(port=0, workers=0, log_interval=0))
