@@ -15,18 +15,20 @@ Architecture
 
 * :mod:`~repro.service.batcher` dispatches a ``/schedule`` miss at once
   while a pool worker is free, and coalesces only the misses that queue
-  behind busy workers into one submission to a ``ProcessPoolExecutor``,
-  so the event loop never blocks on a solve and, under backlog, IPC
-  overhead is amortized.
+  behind busy workers into one pool submission, so the event loop never
+  blocks on a solve and, under backlog, IPC overhead is amortized.
 * :mod:`~repro.service.cache` is an LRU keyed by a canonical hash of
   (task set, m, power, method); permuted task orders hit the same entry,
   and a warm hit never enters the process pool.
 * :mod:`~repro.service.http11` is the one HTTP/1.1 layer — head
   parsing, encoders, the keep-alive connection loop and the client —
   under the daemon, the router and the load generator alike.
-* :mod:`~repro.service.pool` supervises the solver workers: dead workers
-  are respawned and their in-flight work re-dispatched (at most once,
-  jittered exponential backoff) before jobs are abandoned with an error.
+* :mod:`~repro.service.pool` runs the solver workers, each a process
+  behind its own socketpair that the event loop reads itself, and
+  supervises them one by one: a dead worker fails only the batch it was
+  running, is replaced, and that batch is re-dispatched (at most once,
+  jittered exponential backoff) before its jobs are abandoned with an
+  error.
 * :mod:`~repro.service.faults` is the seeded chaos harness — worker
   kills, response delays/drops, malformed payloads — behind the
   ``faults=`` config knob / ``repro serve --chaos`` / ``repro loadgen

@@ -10,8 +10,9 @@ in submit order, run in a task of its own.  So a job that finds a slot
 free dispatches at once, alone, with no timer, and a backlog spreads
 over every slot instead of landing on the first to free.
 
-So a lightly loaded daemon never waits, and per-dispatch costs (pickling,
-queue wakeups, the fused solver pass in :mod:`~repro.service.pool`) are
+So a lightly loaded daemon never waits, and per-dispatch costs (pickling
+the job list and its results, one write and the reads of the reply on the
+worker's pipe, the fused solver pass in :mod:`~repro.service.pool`) are
 shared only when requests are already waiting behind busy workers.
 """
 

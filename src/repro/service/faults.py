@@ -10,13 +10,14 @@ Fault classes
 -------------
 
 ``kill``
-    A worker dies mid-solve.  With a real :class:`~concurrent.futures.
-    ProcessPoolExecutor` a live worker process is SIGKILLed
-    (:func:`kill_one_worker`); in thread mode (``workers=0``) the dispatch
-    raises :class:`SimulatedWorkerCrash` instead, which the supervisor
-    treats identically to a broken pool.  Kills only fire on a dispatch's
-    *first* attempt — the respawned worker completes the retry — matching
-    the supervision contract of at-most-one re-dispatch.
+    A worker dies mid-solve.  With real pool workers the dispatch SIGKILLs
+    the worker it has just acquired, before sending it anything, so the
+    crash lands on that dispatch's own attempt and costs no other batch;
+    in thread mode (``workers=0``) the dispatch raises
+    :class:`SimulatedWorkerCrash` instead, which the supervisor treats
+    like a worker's death.  Kills only fire on a dispatch's *first*
+    attempt — the retry runs on a live worker — matching the supervision
+    contract of at-most-one re-dispatch.
 ``delay``
     The response is held for ``delay_s`` seconds before being written.
 ``drop``
@@ -35,16 +36,13 @@ Specs parse from compact strings for CLI use::
 from __future__ import annotations
 
 import asyncio
-import os
 import random
-import signal
 from dataclasses import dataclass, replace
 
 __all__ = [
     "FaultSpec",
     "FaultInjector",
     "SimulatedWorkerCrash",
-    "kill_one_worker",
     "MALFORMED_MENU",
 ]
 
@@ -210,21 +208,3 @@ class FaultInjector:
         """The next malformed body (deterministic cycle over the menu)."""
         return MALFORMED_MENU[self.counts["malform"] % len(MALFORMED_MENU)]
 
-
-def kill_one_worker(pool) -> bool:
-    """SIGKILL one live worker of a :class:`ProcessPoolExecutor`.
-
-    Returns True when a process was actually signalled.  Reaches into the
-    executor's private ``_processes`` map — the same handle its own
-    management thread uses — because the executor API deliberately hides
-    its workers; chaos testing is exactly the caller that needs them.
-    """
-    processes = getattr(pool, "_processes", None) or {}
-    for proc in processes.values():
-        if proc.is_alive():
-            try:
-                os.kill(proc.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):  # already gone
-                continue
-            return True
-    return False

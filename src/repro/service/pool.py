@@ -1,20 +1,24 @@
-"""Solver backend: picklable batch workers + the executor dispatcher.
+"""Solver backend: picklable batch workers + the pool dispatcher.
 
 Everything submitted crosses process boundaries, so workers are
 module-level functions of plain-JSON-shaped arguments (the same rule as
 :mod:`repro.experiments.parallel`).  A solved ``/schedule`` job comes back
 encoded, as ``{"encoded": EncodedResult}``: the worker writes the result's
 JSON bytes from the schedule's columns, so the event loop only splices
-them into replies.  Every executor submission is a list
+them into replies.  Every pool submission is a list
 of jobs: one batch from the micro-batcher, or an ``/optimal`` job as a
 list of one.  The batcher keeps at most one batch per worker in flight
 and gives each freed worker its share of a backlog, so a backlog spreads
 over the pool without splitting batches here.
 
-``workers = 0`` runs the same worker functions in the default thread
-executor — identical semantics, no process pool — which is what tests,
-the smoke target, and small deployments use.  Either way the event loop
-never blocks on a solve.
+The pool is ``workers`` processes, each behind its own socketpair whose
+parent end the event loop reads itself (:class:`_Worker`): a submission
+goes loop → pipe → worker → pipe → loop as one pickled ``(fn, jobs)``
+frame out and one pickled ``(ok, value)`` frame back, with no helper
+thread in the daemon.  ``workers = 0`` runs the same worker functions in
+the default thread executor — identical semantics, no process pool —
+which is what tests, the smoke target, and small deployments use.
+Either way the event loop never blocks on a solve.
 
 Inside a worker, jobs that share a platform signature (m, power model,
 heuristic) are *fused*: shifted onto disjoint time windows, concatenated
@@ -23,17 +27,19 @@ into one super-instance, and solved by a single vectorized pipeline pass
 paid once per batch instead of once per request.  Batches of more than
 one job form only under backlog, so that is the only time fusion runs.
 
-``dispatch_count`` counts executor submissions.  Cache hits bypass this
+``dispatch_count`` counts pool submissions.  Cache hits bypass this
 module entirely, and the tests pin that down by asserting the counter
 stays flat across warm requests.
 
-Supervision: a dispatch that dies with a broken executor (worker process
-SIGKILLed, OOM-killed, or a chaos-injected :class:`~repro.service.faults.
-SimulatedWorkerCrash`) respawns the pool and re-dispatches the in-flight
-job list at most :class:`~repro.service.config.RetryPolicy` ``.max_retries``
-times with jittered exponential backoff.  A list that crashes again is
-*abandoned*: each of its jobs resolves to an error dict (the client gets
-a clean 5xx, not a hang), and ``worker_restarts`` / ``job_retries`` /
+Supervision is per worker: a worker whose pipe reaches EOF (SIGKILLed,
+OOM-killed) fails only the submission it was running, with
+:class:`WorkerCrash`, and that worker alone is replaced (in thread mode a
+chaos-injected :class:`~repro.service.faults.SimulatedWorkerCrash` stands
+in for the death).  The failed job list is re-dispatched at most
+:class:`~repro.service.config.RetryPolicy` ``.max_retries`` times with
+jittered exponential backoff.  A list that crashes again is *abandoned*:
+each of its jobs resolves to an error dict (the client gets a clean 5xx,
+not a hang), and ``worker_restarts`` / ``job_retries`` /
 ``jobs_abandoned`` land in the shared :class:`~repro.obs.metrics.
 MetricsRegistry`.
 """
@@ -41,25 +47,31 @@ MetricsRegistry`.
 from __future__ import annotations
 
 import asyncio
+import logging
 import multiprocessing
-import os
+import pickle
 import random
 import signal
+import socket
+import struct
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from collections import deque
 from typing import Callable, Sequence
 
 from ..obs import context as obs
 from ..obs.metrics import MetricsRegistry
 from .config import RetryPolicy
-from .faults import FaultInjector, SimulatedWorkerCrash, kill_one_worker
+from .faults import FaultInjector, SimulatedWorkerCrash
 
 __all__ = [
     "SolveDispatcher",
+    "WorkerCrash",
     "solve_schedule_batch",
     "solve_optimal_batch",
     "solve_optimal_job",
 ]
+
+log = logging.getLogger("repro.service.pool")
 
 
 def _queue_span(carrier: dict, end: float | None = None) -> dict:
@@ -80,20 +92,21 @@ def _queue_span(carrier: dict, end: float | None = None) -> dict:
 
 
 def _pool_context():
-    """Start context for worker pools: ``forkserver`` where available.
+    """Start context for pool workers: ``forkserver`` where available.
 
-    The daemon (re)creates executors from a process full of threads — the
-    event loop, executor management threads, queue feeders.  Plain ``fork``
-    there is unsafe: a child forked while some thread holds an internal
-    lock inherits that lock forever-held and deadlocks silently, which
-    surfaces as a dispatch future that never resolves.  ``forkserver``
-    forks workers from a dedicated single-threaded server process instead,
-    and preloading this module there keeps respawned workers cheap.
+    The daemon starts workers from a process with threads — the default
+    executor's, which run ``/admit`` checks (and every solve in thread
+    mode).  Plain ``fork`` there is unsafe: a child forked while some
+    thread holds an internal lock inherits that lock forever-held and
+    deadlocks silently, which surfaces as a dispatch that never answers.
+    ``forkserver`` forks workers from a dedicated single-threaded server
+    process instead, and preloading this module there keeps respawned
+    workers cheap.
     """
     try:
         ctx = multiprocessing.get_context("forkserver")
     except ValueError:  # pragma: no cover - platforms without forkserver
-        return None
+        return multiprocessing.get_context("spawn")
     ctx.set_forkserver_preload(["repro.service.pool"])
     return ctx
 
@@ -396,7 +409,7 @@ def solve_optimal_job(job: dict) -> dict:
 
 def solve_optimal_batch(jobs: Sequence[dict]) -> list[dict]:
     """:func:`solve_optimal_job` over a job list, the shape every
-    executor submission of :class:`SolveDispatcher` takes."""
+    pool submission of :class:`SolveDispatcher` takes."""
     return [solve_optimal_job(job) for job in jobs]
 
 
@@ -443,20 +456,176 @@ def _solve_one_optimal(job: dict) -> dict:
     }
 
 
+# -- the pipe between the event loop and a worker ------------------------------------
+
+#: length prefix of every frame on a worker's pipe
+_HEADER = struct.Struct("!Q")
+#: most bytes the event loop reads from a worker's pipe per wakeup
+_READ_SIZE = 1 << 16
+#: how long shutdown waits for a worker to exit before SIGKILLing it
+_JOIN_S = 5.0
+
+
+class WorkerCrash(RuntimeError):
+    """A pool worker's pipe reached EOF before its reply was whole."""
+
+
+def _frame(obj) -> bytes:
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    return _HEADER.pack(len(data)) + data
+
+
+def _reply_frame(ok: bool, value) -> bytes:
+    """The ``(ok, value)`` reply frame; what cannot be pickled (or an
+    exception that cannot be rebuilt from its pickle) goes home as a
+    ``RuntimeError`` carrying its ``repr``."""
+    try:
+        frame = _frame((ok, value))
+        if not ok:
+            pickle.loads(memoryview(frame)[_HEADER.size:])
+        return frame
+    except Exception as exc:  # noqa: BLE001 - reported at the dispatch instead
+        return _frame((False, RuntimeError(repr(exc if ok else value))))
+
+
+def _recv_exact(sock: socket.socket, size: int) -> bytearray | None:
+    """``size`` bytes from ``sock``, or None at EOF."""
+    buf = bytearray(size)
+    view = memoryview(buf)
+    while view:
+        n = sock.recv_into(view)
+        if not n:
+            return None
+        view = view[n:]
+    return buf
+
+
+def _serve(sock: socket.socket) -> None:
+    """A pool worker's main loop (runs in the worker process).
+
+    Reads one ``(fn, jobs)`` frame at a time, runs ``fn(jobs)`` and writes
+    back one ``(ok, value)`` frame: ``(True, result)``, or ``(False, exc)``
+    for an exception ``fn`` raised, which the dispatch re-raises.  EOF on
+    the pipe (the daemon closed it, or died) ends the loop.
+    """
+    # the daemon ends its workers by closing their pipes; a terminal's
+    # Ctrl-C reaches the whole process group and must not cut a solve short
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with sock:
+        while True:
+            head = _recv_exact(sock, _HEADER.size)
+            body = None if head is None else _recv_exact(sock, _HEADER.unpack(head)[0])
+            if body is None:
+                return
+            fn, jobs = pickle.loads(body)
+            try:
+                reply = _reply_frame(True, fn(jobs))
+            except Exception as exc:  # noqa: BLE001 - re-raised at the dispatch
+                reply = _reply_frame(False, exc)
+            try:
+                sock.sendall(reply)
+            except OSError:  # the daemon closed the pipe mid-solve
+                return
+
+
+class _Worker:
+    """One pool process behind its own socketpair, read by the event loop.
+
+    The loop never blocks on it: a reply is read as its bytes arrive and
+    handed to the submission's future once its whole length-prefixed
+    frame is in, and only then is the worker idle again (``on_idle``).
+    EOF — the process died, or a short frame ended — fails the submission
+    in flight with :class:`WorkerCrash` and reports the worker gone
+    (``on_exit``).  Requests are written with a blocking ``sendall`` and
+    only to an idle worker, which is already waiting to read them.
+    """
+
+    def __init__(self, sock: socket.socket, process, loop, on_idle, on_exit):
+        self.sock = sock
+        self.process = process
+        self._loop = loop
+        self._on_idle = on_idle
+        self._on_exit = on_exit
+        self._buf = bytearray()
+        self._reply: asyncio.Future | None = None
+        loop.add_reader(sock.fileno(), self._on_readable)
+
+    @classmethod
+    def spawn(cls, ctx, loop, on_idle, on_exit) -> "_Worker":
+        parent, child = socket.socketpair()
+        try:
+            process = ctx.Process(
+                target=_serve, args=(child,), name="repro-pool-worker", daemon=True
+            )
+            process.start()
+        except BaseException:
+            parent.close()
+            raise
+        finally:
+            child.close()
+        return cls(parent, process, loop, on_idle, on_exit)
+
+    def call(self, frame: bytes) -> asyncio.Future:
+        """Send one request frame; the future gets the reply frame's body."""
+        self._reply = reply = self._loop.create_future()
+        try:
+            self.sock.sendall(frame)
+        except OSError:
+            # the worker is gone (or the frame went out half-written):
+            # shutting the pipe makes EOF answer the reply, and the worker
+            # reads EOF too
+            self.sock.shutdown(socket.SHUT_RDWR)
+        return reply
+
+    def _on_readable(self) -> None:
+        try:
+            data = self.sock.recv(_READ_SIZE, socket.MSG_DONTWAIT)
+        except (BlockingIOError, InterruptedError):
+            return
+        except ConnectionError:  # reset: the worker died
+            data = b""
+        if not data:
+            self.close(WorkerCrash("pool worker exited before its reply was whole"))
+            self._on_exit(self)
+            return
+        self._buf += data
+        if len(self._buf) < _HEADER.size:
+            return
+        end = _HEADER.size + _HEADER.unpack_from(self._buf)[0]
+        if len(self._buf) < end:
+            return
+        body = self._buf[_HEADER.size:end]
+        del self._buf[:end]
+        reply, self._reply = self._reply, None
+        if reply is not None and not reply.done():  # not cancelled meanwhile
+            reply.set_result(body)
+        self._on_idle(self)
+
+    def close(self, exc: BaseException) -> None:
+        """Stop reading, close the pipe, and fail the reply in flight."""
+        self._loop.remove_reader(self.sock.fileno())
+        self.sock.close()
+        reply, self._reply = self._reply, None
+        if reply is not None and not reply.done():
+            reply.set_exception(exc)
+
+
 # -- async dispatcher (runs on the event loop) --------------------------------------
 
 
 class SolveDispatcher:
-    """Owns the executor, supervises its workers, and awaits job batches.
+    """Owns the worker processes, supervises them, and awaits job batches.
 
-    Every executor submission runs under the supervision loop of
-    :meth:`_dispatch_supervised`: a dead worker (broken pool or simulated
-    crash) respawns the executor and re-dispatches the batch at most
-    ``retry.max_retries`` times with jittered exponential backoff; beyond
-    that the batch's jobs end as per-job error dicts so waiters are
-    always answered.  Counters land in ``metrics``:
+    Workers start on the first dispatch, up to ``workers`` of them, and
+    stay bound to that dispatch's event loop.  A submission takes an idle
+    worker, or waits in FIFO order for one.  Every submission runs under
+    the supervision loop of :meth:`_dispatch_supervised`: a worker that
+    dies fails only its own submission, is replaced, and the batch is
+    re-dispatched at most ``retry.max_retries`` times with jittered
+    exponential backoff; beyond that the batch's jobs end as per-job error
+    dicts so waiters are always answered.  Counters land in ``metrics``:
 
-    * ``worker_restarts`` — times a dead worker (pool) was replaced,
+    * ``worker_restarts`` — dead workers (one each) that were replaced,
     * ``job_retries``    — jobs re-dispatched after a crash,
     * ``jobs_abandoned`` — jobs that crashed again on their retry.
     """
@@ -473,67 +642,108 @@ class SolveDispatcher:
             raise ValueError("workers must be >= 0")
         self.workers = workers
         self._ctx = _pool_context() if workers > 0 else None
-        self._pool: ProcessPoolExecutor | None = (
-            self._make_pool() if workers > 0 else None
-        )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.retry = retry if retry is not None else RetryPolicy()
         self.injector = injector
         self._rng = random.Random(
             injector.spec.seed if injector is not None else 0
         )
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._live: list[_Worker] = []
+        self._idle: list[_Worker] = []
+        self._waiting: deque[asyncio.Future] = deque()
+        self._exited: list = []  # dead workers' processes, not yet reaped
         self._closed = False
-        self.dispatch_count = 0  # executor submissions (batches), NOT jobs
+        self.dispatch_count = 0  # pool submissions (batches), NOT jobs
+
+    # -- workers -------------------------------------------------------------------
+
+    def _spawn(self) -> _Worker:
+        self._reap()
+        worker = _Worker.spawn(self._ctx, self._loop, self._release, self._replace)
+        self._live.append(worker)
+        return worker
+
+    async def _acquire(self) -> _Worker:
+        """An idle worker, a new one while fewer than ``workers`` live, or
+        the next one to come free."""
+        loop = asyncio.get_running_loop()
+        if self._closed:
+            raise RuntimeError("solve pool is shut down")
+        if self._loop is None:
+            self._loop = loop
+        elif self._loop is not loop:
+            raise RuntimeError("solve pool is bound to another event loop")
+        if self._idle:
+            return self._idle.pop()
+        if len(self._live) < self.workers:
+            return self._spawn()
+        waiter = loop.create_future()
+        self._waiting.append(waiter)
+        try:
+            return await waiter
+        except asyncio.CancelledError:
+            if waiter.done() and not waiter.cancelled() and waiter.exception() is None:
+                self._release(waiter.result())  # handed over as we were cancelled
+            raise
+
+    def _release(self, worker: _Worker) -> None:
+        """Hand an idle worker to the longest waiter, else park it."""
+        while self._waiting:
+            waiter = self._waiting.popleft()
+            if not waiter.done():
+                waiter.set_result(worker)
+                return
+        self._idle.append(worker)
+
+    def _replace(self, dead: _Worker) -> None:
+        """A worker's pipe reached EOF: count it and, when a submission is
+        waiting, start its replacement at once (else the next
+        :meth:`_acquire` does)."""
+        self._live.remove(dead)
+        if dead in self._idle:
+            self._idle.remove(dead)
+        self._exited.append(dead.process)
+        if self._closed:
+            return
+        self.metrics.counter("worker_restarts").inc()
+        if any(not waiter.done() for waiter in self._waiting):
+            try:
+                self._release(self._spawn())
+            except OSError:
+                log.exception("could not replace a dead pool worker")
+
+    def _reap(self) -> None:
+        """Release the handles of dead workers the forkserver has reaped."""
+        pending = []
+        for process in self._exited:
+            if process.exitcode is None:
+                pending.append(process)
+            else:
+                process.close()
+        self._exited = pending
 
     # -- supervision ---------------------------------------------------------------
 
-    def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.workers, mp_context=self._ctx)
-
-    @staticmethod
-    def _reap(broken: ProcessPoolExecutor) -> None:
-        """SIGKILL every remaining worker of a poisoned executor.
-
-        A worker that dies mid-``put`` can take the shared result-queue
-        lock to its grave; surviving siblings then deadlock acquiring it,
-        and the executor's management thread blocks forever joining them —
-        which in turn hangs interpreter shutdown (``_python_exit`` joins
-        management threads).  The pool is already condemned when this runs,
-        so nothing of value is lost by killing the rest of its workers
-        outright, which unblocks the join and lets the management thread
-        finish tearing the executor down.
-        """
-        try:
-            procs = list((getattr(broken, "_processes", None) or {}).values())
-        except RuntimeError:  # racing the management thread's own cleanup
-            procs = []
-        for proc in procs:
-            try:
-                if proc.is_alive():
-                    os.kill(proc.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError, ValueError):
-                continue
-
-    def _respawn(self, broken: ProcessPoolExecutor | None) -> None:
-        """Replace a dead worker; idempotent across concurrent failures.
-
-        With a real pool, only the first dispatch to observe the breakage
-        recreates the executor (later observers see ``self._pool`` already
-        moved on and only retry).  In thread mode (``workers == 0``) there
-        is no pool to rebuild — the "respawn" is purely accounting for the
-        simulated crash.
-        """
-        if broken is None:
-            self.metrics.counter("worker_restarts").inc()
-            return
-        if self._pool is broken and not self._closed:
-            self.metrics.counter("worker_restarts").inc()
-            self._reap(broken)
-            broken.shutdown(wait=False, cancel_futures=True)
-            self._pool = self._make_pool()
+    async def _attempt(self, fn: Callable, jobs: list[dict], frame, attempt: int):
+        """One submission of ``fn(jobs)`` (``frame`` pickled) to a worker."""
+        kill = self.injector is not None and self.injector.should_kill(attempt)
+        if self.workers == 0:
+            if kill:
+                raise SimulatedWorkerCrash("chaos: worker killed mid-solve")
+            self.dispatch_count += 1
+            return await asyncio.get_running_loop().run_in_executor(None, fn, jobs)
+        worker = await self._acquire()
+        if kill:  # before anything is sent: the crash is this attempt's own
+            worker.process.kill()
+        self.dispatch_count += 1
+        ok, value = pickle.loads(await worker.call(frame))
+        if not ok:
+            raise value
+        return value
 
     async def _dispatch_supervised(self, fn: Callable, jobs: list[dict]) -> list[dict]:
-        """Run ``fn(jobs)`` as one executor submission under the crash/retry
+        """Run ``fn(jobs)`` as one pool submission under the crash/retry
         supervisor; always one result dict per job.
 
         A worker that dies takes its capture buffer with it, so each crash
@@ -542,23 +752,14 @@ class SolveDispatcher:
         the submission is abandoned — the abandoned attempts stay visible
         on the trace even though the workers that ran them never reported.
         """
-        loop = asyncio.get_running_loop()
+        frame = _frame((fn, jobs)) if self.workers > 0 else None
         crash_spans: list[list[dict]] = [[] for _ in jobs]
         attempt = 0
         while True:
-            pool = self._pool
             t0 = time.time()
             try:
-                if self.injector is not None and self.injector.should_kill(
-                    attempt
-                ):
-                    if pool is None or not kill_one_worker(pool):
-                        raise SimulatedWorkerCrash(
-                            "chaos: worker killed mid-solve"
-                        )
-                self.dispatch_count += 1
-                results = await loop.run_in_executor(pool, fn, jobs)
-            except (BrokenExecutor, SimulatedWorkerCrash) as exc:
+                results = await self._attempt(fn, jobs, frame, attempt)
+            except (WorkerCrash, SimulatedWorkerCrash) as exc:
                 for job, spans in zip(jobs, crash_spans):
                     carrier = job.get("_trace")
                     if carrier is not None:
@@ -574,7 +775,8 @@ class SolveDispatcher:
                                 error=type(exc).__name__,
                             )
                         )
-                self._respawn(pool)
+                if self.workers == 0:  # no process to replace: accounting only
+                    self.metrics.counter("worker_restarts").inc()
                 if attempt >= self.retry.max_retries:
                     self.metrics.counter("jobs_abandoned").inc(len(jobs))
                     message = (
@@ -599,7 +801,7 @@ class SolveDispatcher:
     # -- public API ----------------------------------------------------------------
 
     async def solve_batch(self, jobs: Sequence[dict]) -> list[dict]:
-        """One micro-batch → one executor submission → ordered results;
+        """One micro-batch → one pool submission → ordered results;
         abandonment yields per-job error dicts."""
         return await self._dispatch_supervised(solve_schedule_batch, list(jobs))
 
@@ -607,8 +809,48 @@ class SolveDispatcher:
         """One ``/optimal`` job, dispatched as a list of one."""
         return (await self._dispatch_supervised(solve_optimal_batch, [job]))[0]
 
-    def shutdown(self) -> None:
+    def _close_pipes(self) -> list:
+        """The loop side of shutdown: refuse new submissions, fail the
+        waiting ones, stop reading every worker and close its pipe (an
+        idle worker reads EOF and exits).  Returns the processes to join."""
         self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=False)
-            self._pool = None
+        down = RuntimeError("solve pool is shut down")
+        while self._waiting:
+            waiter = self._waiting.popleft()
+            if not waiter.done():
+                waiter.set_exception(down)
+        for worker in self._live:
+            worker.close(down)
+        processes = [w.process for w in self._live] + self._exited
+        self._live, self._idle, self._exited = [], [], []
+        return processes
+
+    @staticmethod
+    def _join(processes: list) -> None:
+        """Wait for each process to exit, SIGKILLing any still alive after
+        :data:`_JOIN_S` in all."""
+        deadline = time.monotonic() + _JOIN_S
+        for process in processes:
+            process.join(max(0.0, deadline - time.monotonic()))
+            if process.exitcode is None:
+                process.kill()
+                process.join(_JOIN_S)
+            if process.exitcode is not None:
+                process.close()
+
+    def shutdown(self) -> None:
+        """Close every worker's pipe and join every worker (blocking).
+
+        Call it on the event loop's thread or after that loop has ended;
+        a running daemon uses :meth:`close`, which joins off the loop.
+        """
+        self._join(self._close_pipes())
+
+    async def close(self) -> None:
+        """:meth:`shutdown` from the running loop: the pipes close here,
+        and the join runs in the default executor."""
+        processes = self._close_pipes()
+        if processes:
+            await asyncio.get_running_loop().run_in_executor(
+                None, self._join, processes
+            )

@@ -21,8 +21,9 @@ Robustness:
 * **graceful shutdown** — :meth:`SchedulingService.stop` closes the
   listener, drains every accepted request to a written response, closes
   the batcher (which waits for every dispatch, a solve that outlived its
-  requests' deadlines included), and only then tears down the executor:
-  an accepted request is never dropped, and nothing is cancelled.
+  requests' deadlines included), and only then closes the pool's pipes
+  and joins its workers: an accepted request is never dropped, and
+  nothing is cancelled.
 
 HTTP/1.1 framing, the keep-alive loop and the drain on stop come from
 :mod:`~repro.service.http11`; routes and response shaping from
@@ -165,9 +166,7 @@ class SchedulingService:
         if self._log_task is not None:
             self._log_task.cancel()
             self._log_task = None
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.dispatcher.shutdown
-        )
+        await self.dispatcher.close()
         await self._http.close_connections()
         if self._exporter is not None:
             self._exporter.close()

@@ -31,7 +31,6 @@ import asyncio
 import bisect
 import hashlib
 import logging
-import multiprocessing
 
 from .config import ServiceConfig
 from .pool import _pool_context
@@ -181,7 +180,7 @@ class ShardManager:
             raise ValueError("shards must be >= 1")
         self.base_config = base_config
         self.n = int(shards)
-        self._ctx = _pool_context() or multiprocessing.get_context("spawn")
+        self._ctx = _pool_context()
         self.shards: list[ShardProcess | None] = [None] * self.n
 
     async def start(self) -> None:

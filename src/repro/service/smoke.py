@@ -4,11 +4,16 @@ It also sends two ``/schedule`` bodies twice each, once per wire dialect,
 and checks that the cache hit's reply bytes are the miss's with only the
 ``cache_hit`` flag flipped.
 
+The sweep runs twice: against a ``workers=0`` daemon (thread-executor
+solves) and a ``workers=2`` daemon (real pool worker processes), and the
+two must answer those ``/schedule`` bodies with byte-identical replies,
+so a framing or pickling fault on the pool's pipes fails it.
+
 Run as ``python -m repro.service.smoke`` (the ``make serve-smoke`` target).
 Exit code 0 means every endpoint answered as expected and graceful
-shutdown completed; any deviation prints the failure and exits 1.  Uses
-``workers=0`` (thread-executor solves) and an ephemeral port so it is
-fast, hermetic, and safe to run anywhere — including CI.
+shutdown completed; any deviation prints the failure and exits 1.  Both
+daemons bind an ephemeral port, so it is hermetic and safe to run
+anywhere — including CI.
 """
 
 from __future__ import annotations
@@ -25,10 +30,22 @@ _MISS, _HIT = b'"cache_hit": false', b'"cache_hit": true'
 
 
 async def check(smoke: Smoke) -> None:
-    """Hit every endpoint of a fresh daemon once."""
-    config = ServiceConfig(port=0, workers=0, log_interval=0, f_max=2.0)
+    """Sweep a thread-mode daemon and a two-worker one; compare their bytes."""
+    replies = [await _sweep(smoke, workers) for workers in (0, 2)]
+    smoke.check(
+        replies[0] == replies[1],
+        "workers=0 and workers=2 answer /schedule with the same bytes",
+        "the workers=0 and workers=2 daemons' /schedule replies differ",
+    )
+
+
+async def _sweep(smoke: Smoke, workers: int) -> list[bytes]:
+    """Hit every endpoint of a fresh daemon once; returns the bytes of the
+    repeated ``/schedule`` replies."""
+    config = ServiceConfig(port=0, workers=workers, log_interval=0, f_max=2.0)
+    replies = []
     async with SchedulingService(config) as service:
-        print(f"serve-smoke: daemon on port {service.port}")
+        print(f"serve-smoke: daemon (workers={workers}) on port {service.port}")
 
         async def expect(method, path, payload, predicate, label):
             status, body = await request_once(
@@ -97,6 +114,8 @@ async def check(smoke: Smoke) -> None:
                 f"{path}: the repeat's bytes are not the first's with cache_hit "
                 f"flipped (HTTP {s1}, {s2})",
             )
+            replies += [first, repeat]
+    return replies
 
 
 if __name__ == "__main__":

@@ -2,14 +2,16 @@
 
 Thread-mode (``workers=0``) dispatchers make supervision deterministic:
 ``kill=1.0`` crashes every first attempt via ``SimulatedWorkerCrash`` and
-the retry must reproduce the clean result bit-for-bit.  One test exercises
-the real ``ProcessPoolExecutor`` path — an actual SIGKILLed worker,
-respawn, and re-dispatch — and is the slowest test in this file.
+the retry must reproduce the clean result bit-for-bit.  Two tests exercise
+real pool workers — an actual SIGKILLed worker, its replacement, and the
+re-dispatch, which costs no other batch in flight — and are the slowest
+tests in this file.
 """
 
 import asyncio
 import time
 
+import numpy as np
 import pytest
 
 from repro.engine import register
@@ -241,7 +243,7 @@ class TestThreadModeSupervision:
 
 class TestRealPoolSupervision:
     def test_sigkilled_worker_is_respawned_and_the_job_retried(self):
-        """Real ProcessPoolExecutor: SIGKILL a live worker, survive it."""
+        """Real pool workers: SIGKILL a live worker, survive it."""
         clean = SolveDispatcher(0)
         baseline = [decoded(r) for r in asyncio.run(clean.solve_batch([_job()]))]
 
@@ -273,6 +275,66 @@ class TestRealPoolSupervision:
         assert metrics.counter("worker_restarts").value >= 1
         assert metrics.counter("job_retries").value >= 1
         assert metrics.counter("jobs_abandoned").value == 0
+
+    def test_a_killed_worker_costs_only_the_batch_it_was_running(self):
+        """Two slow batches in flight on two workers; SIGKILL one worker:
+        the other batch finishes on its first attempt, and the killed one
+        is retried on a replacement, bit-identical to an unfaulted solve."""
+        batches = [[_large_job(1000, seed=0), _job()], [_large_job(1000, seed=1)]]
+        for i, batch in enumerate(batches):
+            for j, job in enumerate(batch):
+                job["_trace"] = {"trace_id": f"{i}{j}" * 16, "parent": "ab" * 8}
+        clean = SolveDispatcher(0)
+        baseline = [
+            [r["encoded"] for r in asyncio.run(clean.solve_batch(b))] for b in batches
+        ]
+
+        metrics = MetricsRegistry()
+        dispatcher = SolveDispatcher(
+            2, metrics=metrics, retry=RetryPolicy(max_retries=1, backoff_base=0.01)
+        )
+        try:
+
+            async def scenario():
+                tasks = [
+                    asyncio.ensure_future(dispatcher.solve_batch(b)) for b in batches
+                ]
+                # both workers busy with a solve of ~0.2 s or more
+                while sum(w._reply is not None for w in dispatcher._live) < 2:
+                    await asyncio.sleep(0.005)
+                await asyncio.sleep(0.02)
+                victim = dispatcher._live[0]
+                victim.process.kill()
+                return victim, await asyncio.gather(*tasks)
+
+            victim, results = asyncio.run(scenario())
+            assert victim not in dispatcher._live
+        finally:
+            dispatcher.shutdown()
+
+        crashed = [
+            i for i, batch in enumerate(results)
+            if any(sp["name"] == "pool.attempt" for sp in batch[0]["_spans"])
+        ]
+        assert len(crashed) == 1  # the other batch ran once, untouched
+        for batch, expected in zip(results, baseline):
+            assert [r.get("error") for r in batch] == [None] * len(batch)
+            assert [r["encoded"] for r in batch] == expected
+        assert metrics.counter("worker_restarts").value == 1
+        assert metrics.counter("job_retries").value == len(batches[crashed[0]])
+        assert metrics.counter("jobs_abandoned").value == 0
+
+
+def _large_job(n: int, seed: int) -> dict:
+    """One ``n``-task ``der`` job: a solve long enough to kill mid-way."""
+    rng = np.random.default_rng(seed)
+    release = rng.uniform(0.0, 100.0, n)
+    window = rng.uniform(1.0, 20.0, n)
+    work = window * rng.uniform(0.1, 0.9, n)
+    rows = [
+        (float(r), float(r + w), float(c)) for r, w, c in zip(release, window, work)
+    ]
+    return _job(sorted(rows), m=4, include_schedule=True)
 
 
 _BASE = dict(port=0, workers=0, log_interval=0)

@@ -1,7 +1,7 @@
 """End-to-end tests: real daemon on an ephemeral port, real HTTP clients.
 
 Everything runs in-process (``workers=0`` solves in a thread executor)
-except one test that exercises the actual ``ProcessPoolExecutor`` path.
+except one test that exercises real pool worker processes.
 Each test owns its event loop via ``asyncio.run``; the service binds
 port 0 so tests parallelize safely.
 """
@@ -260,7 +260,7 @@ class TestScheduleEndpoint:
         run_with_service(scenario)
 
     def test_process_pool_workers(self):
-        """The real ProcessPoolExecutor path: pickled jobs, coalesced batches."""
+        """Real pool worker processes: pickled jobs, coalesced batches."""
 
         async def scenario(service):
             results = await asyncio.gather(*(
