@@ -19,7 +19,29 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["Task", "TaskSet"]
+__all__ = ["Task", "TaskSet", "check_task"]
+
+
+def check_task(release: float, deadline: float, work: float) -> None:
+    """Raise :class:`ValueError` unless ``(release, deadline, work)`` is a task.
+
+    The one validation of a task's numbers: :class:`Task` runs it on
+    construction, and the service's request parser runs it on each row
+    it reads without building a :class:`Task`.
+    """
+    if not math.isfinite(release):
+        raise ValueError(f"release must be finite, got {release!r}")
+    if not math.isfinite(deadline):
+        raise ValueError(f"deadline must be finite, got {deadline!r}")
+    if not math.isfinite(work):
+        raise ValueError(f"work must be finite, got {work!r}")
+    if deadline <= release:
+        raise ValueError(
+            f"deadline ({deadline}) must be strictly greater than "
+            f"release ({release})"
+        )
+    if work <= 0.0:
+        raise ValueError(f"work must be positive, got {work}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,19 +67,7 @@ class Task:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.release):
-            raise ValueError(f"release must be finite, got {self.release!r}")
-        if not math.isfinite(self.deadline):
-            raise ValueError(f"deadline must be finite, got {self.deadline!r}")
-        if not math.isfinite(self.work):
-            raise ValueError(f"work must be finite, got {self.work!r}")
-        if self.deadline <= self.release:
-            raise ValueError(
-                f"deadline ({self.deadline}) must be strictly greater than "
-                f"release ({self.release})"
-            )
-        if self.work <= 0.0:
-            raise ValueError(f"work must be positive, got {self.work}")
+        check_task(self.release, self.deadline, self.work)
 
     @property
     def window(self) -> float:

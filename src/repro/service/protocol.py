@@ -10,13 +10,17 @@ A ``/schedule`` result is encoded once per solve as an
 Request bodies are JSON.  Task sets can arrive in any of three shapes —
 a ``repro-taskset`` envelope (the :mod:`repro.io.taskio` file format), a
 list of ``[release, deadline, work]`` / ``[release, deadline, work, name]``
-rows, or a list of ``{"release": …, "deadline": …, "work": …}`` objects —
-all validated through the :class:`~repro.core.task.Task` constructor so
-malformed instances fail with the same errors as programmatic use.
+rows, or a list of ``{"release": …, "deadline": …, "work": …}`` objects.
+Each is read into :class:`TaskRow` tuples, validated by
+:func:`~repro.core.task.check_task` (the checks
+:class:`~repro.core.task.Task` runs), so malformed instances fail with the
+same errors as programmatic use while a request builds no ``Task``.
 
-:func:`canonical_plan_key` is the cache identity: a SHA-256 over the
-*sorted* task tuples plus the platform parameters, so permutations of the
-same task set (and any JSON field ordering) map to one cache entry.
+A solve request keeps its rows sorted in canonical order, and
+:meth:`ScheduleRequest.plan_key`, the cache identity, is a SHA-256 over
+those rows' float64 bits and names plus the platform and solver: every
+permutation of one task set (and any JSON field ordering) maps to one
+cache entry, and the rows hashed are the rows the pool job solves.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..core.schedule import Schedule
-from ..core.task import Task, TaskSet
+from ..core.task import Task, TaskSet, check_task
 from ..engine import UnknownSolverError, resolve_name, solver_names
 from ..io.schedio import schedule_to_json
 from ..io.taskio import taskset_from_dict
@@ -52,7 +57,8 @@ __all__ = [
     "flatten_legacy_error",
     "is_error_body",
     "v1_envelope",
-    "parse_tasks_field",
+    "TaskRow",
+    "parse_task_rows",
     "canonical_order",
     "canonicalize_tasks",
     "canonical_plan_key",
@@ -334,43 +340,54 @@ class ProtocolError(ValueError):
         self.detail = detail
 
 
-def _parse_task_row(row, index: int) -> Task:
+class TaskRow(NamedTuple):
+    """One validated task of a request: what a :class:`Task` holds.
+
+    Rows sort in canonical order as plain tuples, and the pool worker
+    builds the solve's ``Task`` objects from them.
+    """
+
+    release: float
+    deadline: float
+    work: float
+    name: str = ""
+
+
+def _parse_task_row(row, index: int) -> TaskRow:
+    listed = isinstance(row, (list, tuple)) and len(row) in (3, 4)
+    if not listed and not isinstance(row, dict):
+        raise ProtocolError(
+            f"task #{index} must be a [release, deadline, work(, name)] row "
+            f"or an object with those fields"
+        )
     try:
-        if isinstance(row, dict):
-            return Task(
-                release=float(row["release"]),
-                deadline=float(row["deadline"]),
-                work=float(row["work"]),
-                name=str(row.get("name", "")),
-            )
-        if isinstance(row, (list, tuple)) and len(row) in (3, 4):
+        if listed:
             name = str(row[3]) if len(row) == 4 else ""
-            return Task(
-                release=float(row[0]),
-                deadline=float(row[1]),
-                work=float(row[2]),
-                name=name,
-            )
+            release, deadline, work = float(row[0]), float(row[1]), float(row[2])
+        else:
+            release = float(row["release"])
+            deadline = float(row["deadline"])
+            work = float(row["work"])
+            name = str(row.get("name", ""))
+        check_task(release, deadline, work)
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"task #{index} is malformed: {exc}") from exc
-    raise ProtocolError(
-        f"task #{index} must be a [release, deadline, work(, name)] row "
-        f"or an object with those fields"
-    )
+    return TaskRow(release, deadline, work, name)
 
 
-def parse_tasks_field(obj) -> TaskSet:
-    """Parse the ``tasks`` field of a request into a validated TaskSet."""
+def parse_task_rows(obj) -> list[TaskRow]:
+    """The ``tasks`` field of a request as validated rows, in request order."""
     if isinstance(obj, dict):
         # the on-disk envelope format, embedded verbatim
         try:
-            return taskset_from_dict(obj)
+            tasks = taskset_from_dict(obj)
         except ValueError as exc:
             raise ProtocolError(str(exc)) from exc
+        return [TaskRow(t.release, t.deadline, t.work, t.name) for t in tasks]
     if isinstance(obj, list):
         if not obj:
             raise ProtocolError("tasks list is empty")
-        return TaskSet(_parse_task_row(row, i) for i, row in enumerate(obj))
+        return [_parse_task_row(row, i) for i, row in enumerate(obj)]
     raise ProtocolError("tasks must be a list or a repro-taskset object")
 
 
@@ -381,8 +398,6 @@ def _get_number(body: dict, key: str, default, *, integer: bool = False):
     is 1, so finiteness and type are checked here, not trusted.
     """
     value = body.get(key, default)
-    if value is None:
-        return None
     if integer:
         if isinstance(value, float) and value.is_integer():
             return int(value)
@@ -412,13 +427,14 @@ def _power_from(body: dict, default_alpha: float, default_static: float) -> Poly
 class ScheduleRequest:
     """Parsed ``POST /schedule`` body.
 
-    ``method`` keeps the client's spelling (echoed back in responses);
-    ``solver`` is the canonical registry name used for dispatch, fusion,
-    and cache identity — so ``der`` and ``subinterval-der`` share one
-    cache entry.
+    ``tasks`` holds the request's rows sorted in canonical order: the
+    pool job solves them and :meth:`plan_key` hashes them.  ``method``
+    keeps the client's spelling (echoed back in responses); ``solver``
+    is the canonical registry name used for dispatch, fusion, and cache
+    identity — so ``der`` and ``subinterval-der`` share one cache entry.
     """
 
-    tasks: TaskSet
+    tasks: list[TaskRow]
     m: int
     power: PolynomialPower
     method: str
@@ -438,7 +454,7 @@ class ScheduleRequest:
             raise ProtocolError("request body must be a JSON object")
         if "tasks" not in body:
             raise ProtocolError("missing required field 'tasks'")
-        tasks = parse_tasks_field(body["tasks"])
+        tasks = sorted(parse_task_rows(body["tasks"]))
         m = _get_number(body, "m", default_m, integer=True)
         if m < 1:
             raise ProtocolError(f"m must be >= 1, got {m}")
@@ -455,6 +471,12 @@ class ScheduleRequest:
             include_schedule=include,
             solver=solver,
         )
+
+    def plan_key(self) -> str:
+        """The plan-cache key: :func:`canonical_plan_key` of this request,
+        from its rows as sorted, plus ``:light`` without the schedule."""
+        key = _rows_key(self.tasks, self.m, self.power, self.solver)
+        return key if self.include_schedule else key + ":light"
 
 
 @dataclass(frozen=True)
@@ -501,15 +523,17 @@ class AdmitRequest:
             raise ProtocolError("peek is read-only: omit 'task' and 'reset'")
         task = None
         if "task" in body:
-            task = _parse_task_row(body["task"], 0)
+            task = Task(*_parse_task_row(body["task"], 0))
         elif not reset and not peek:
             raise ProtocolError("missing required field 'task'")
         m = _get_number(body, "m", default_m, integer=True)
         if m < 1:
             raise ProtocolError(f"m must be >= 1, got {m}")
-        f_max = _get_number(body, "f_max", default_f_max)
-        if f_max is not None and f_max <= 0:
-            raise ProtocolError(f"f_max must be positive, got {f_max}")
+        f_max = body.get("f_max", default_f_max)
+        if f_max is not None:  # null means uncapped
+            f_max = _get_number(body, "f_max", default_f_max)
+            if f_max <= 0:
+                raise ProtocolError(f"f_max must be positive, got {f_max}")
         return cls(
             task=task,
             reset=reset,
@@ -528,10 +552,12 @@ class OptimalRequest:
     is validated against the registry at parse time, so unknown backends
     are a 400 with the menu of ``optimal:*`` names — never a worker error.
     ``canonical_solver`` is the resolved registry name the server uses for
-    dispatch decisions (e.g. arming the exact-solver timeout).
+    dispatch decisions (e.g. arming the exact-solver timeout).  ``tasks``
+    holds the request's rows sorted in canonical order, as the job
+    solves them.
     """
 
-    tasks: TaskSet
+    tasks: list[TaskRow]
     m: int
     power: PolynomialPower
     solver: str
@@ -550,7 +576,7 @@ class OptimalRequest:
             raise ProtocolError("request body must be a JSON object")
         if "tasks" not in body:
             raise ProtocolError("missing required field 'tasks'")
-        tasks = parse_tasks_field(body["tasks"])
+        tasks = sorted(parse_task_rows(body["tasks"]))
         m = _get_number(body, "m", default_m, integer=True)
         if m < 1:
             raise ProtocolError(f"m must be >= 1, got {m}")
@@ -565,8 +591,9 @@ class OptimalRequest:
         )
 
 
-def canonical_order(task: Task):
-    """Sort key of the canonical task ordering."""
+def canonical_order(task):
+    """Sort key of the canonical task ordering: the task as a
+    :class:`TaskRow` tuple, by which rows sort themselves."""
     return (task.release, task.deadline, task.work, task.name)
 
 
@@ -576,34 +603,42 @@ def canonicalize_tasks(tasks: TaskSet) -> TaskSet:
     Plans are order-invariant — the scheduler works on the set, not the
     sequence — so the service solves the canonical ordering and every
     permutation of a request shares one plan (and one cache entry).
-    (The serving hot path sorts the ``Task`` sequence directly with
-    :func:`canonical_order` instead, skipping this second ``TaskSet``
-    construction.)
     """
     return TaskSet(sorted(tasks, key=canonical_order))
 
 
-def canonical_plan_key(
-    tasks, m: int, power: PolynomialPower, method: str
-) -> str:
-    """SHA-256 cache key, invariant to task order and JSON field order.
+def canonical_plan_key(tasks, m: int, power: PolynomialPower, method: str) -> str:
+    """SHA-256 cache key of ``tasks`` (``Task`` objects or rows), invariant
+    to task order and JSON field order.
 
-    Floats go through :func:`repr`, which is the shortest exact
-    representation in Python 3 — two bit-identical instances always get
-    the same key, and nearby-but-different floats never collide.
+    The tasks are hashed in canonical order by their float64 bits and
+    names, so bit-identical instances always share a key and nearby but
+    different floats never do.  The one exception to order invariance:
+    rows that tie as floats but differ in the sign of a zero keep their
+    request order, so two such orders get two keys (a miss, never a wrong
+    entry).
     """
-    rows = sorted(
-        (repr(t.release), repr(t.deadline), repr(t.work), t.name) for t in tasks
+    return _rows_key(sorted(map(canonical_order, tasks)), m, power, method)
+
+
+def _rows_key(rows, m: int, power: PolynomialPower, method: str) -> str:
+    """SHA-256 over ``rows`` in the order given, with the platform and solver.
+
+    The JSON head fixes the row count (by the names) and so the length of
+    the float block that follows it: one float64 per release, deadline
+    and work, then α, p₀ and γ.
+    """
+    releases, deadlines, works, names = zip(*rows)
+    digest = hashlib.sha256(json.dumps([int(m), method, names]).encode())
+    digest.update(
+        struct.pack(
+            f"<{3 * len(names) + 3}d",
+            *releases,
+            *deadlines,
+            *works,
+            power.alpha,
+            power.static,
+            power.gamma,
+        )
     )
-    payload = json.dumps(
-        {
-            "tasks": rows,
-            "m": int(m),
-            "alpha": repr(power.alpha),
-            "static": repr(power.static),
-            "gamma": repr(power.gamma),
-            "method": method,
-        },
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return digest.hexdigest()

@@ -2,22 +2,29 @@
 
 Request flow for ``POST /schedule``::
 
-    parse → canonicalize → cache probe ──hit──→ respond (no pool entry)
-                                └─miss─→ micro-batcher → process pool → respond
+    parse rows → sort → key → cache probe ──hit──→ respond (no pool entry)
+                                  └─miss─→ micro-batcher → process pool → respond
 
-A miss's result comes back from the pool worker already encoded, and is
-cached as those bytes, which every reply of it splices in; the loop
-encodes no result.  Concurrent misses for one plan share one solve,
-whose outcome a done callback on the batcher's future settles (no task
-per miss).
+The request's task rows are validated and sorted once; the plan key
+hashes those rows, and a miss's pool job solves them.  A miss's result
+comes back from the pool worker already encoded, and is cached as those
+bytes, which every reply of it splices in; the loop encodes no result.
+Concurrent misses for one plan share one solve, whose outcome a done
+callback on the batcher's future settles (no task per miss).
+
+A handler that can answer at once (a cache hit, ``/healthz``,
+``/solvers``, ``/metrics``) returns its ``(status, payload)``; one that
+must wait returns an awaitable of it (a miss's shielded outcome, an
+admit, an ``/optimal`` solve), which alone runs under the deadline.  A
+hit so creates no task.
 
 Robustness:
 
 * **shedding** — at most ``max_inflight`` requests are in progress; the
   excess is refused immediately with 429 (bounded queue, not unbounded
   backlog),
-* **deadlines** — each accepted request runs under ``request_timeout``
-  and answers 504 if the solve can't make it,
+* **deadlines** — each request whose answer is pending waits under
+  ``request_timeout`` and answers 504 if the solve can't make it,
 * **graceful shutdown** — :meth:`SchedulingService.stop` closes the
   listener, drains every accepted request to a written response, closes
   the batcher (which waits for every dispatch, a solve that outlived its
@@ -59,8 +66,6 @@ from .protocol import (
     ProtocolError,
     ScheduleRequest,
     base_path,
-    canonical_order,
-    canonical_plan_key,
     error_body,
     no_route,
     shape_response,
@@ -116,7 +121,9 @@ class SchedulingService:
         self._started_at = 0.0
         self._log_task: asyncio.Task | None = None
         # one handler per endpoint of protocol.ROUTES: the "/v1" route and
-        # its legacy shim share it (the shim only differs in shaping)
+        # its legacy shim share it (the shim only differs in shaping).  A
+        # handler returns (status, payload), or an awaitable of it when
+        # the answer must wait
         self._handlers = {
             "/schedule": self._handle_schedule,
             "/admit": self._handle_admit,
@@ -243,22 +250,22 @@ class SchedulingService:
                 method=method,
             ) as root:
                 try:
-                    parsed = self._parse_body(body)
-                    if isinstance(parsed, tuple):  # (status, payload) short-circuit
-                        status, payload = parsed
-                    else:
+                    answer = self._parse_body(body)  # the body, or a 400
+                    if not isinstance(answer, tuple):
+                        answer = handler(answer, headers)
+                    if not isinstance(answer, tuple):  # pending: wait for it
                         try:
-                            status, payload = await asyncio.wait_for(
-                                handler(parsed, headers),
-                                timeout=self.config.request_timeout,
+                            answer = await asyncio.wait_for(
+                                answer, timeout=self.config.request_timeout
                             )
                         except asyncio.TimeoutError:
                             self.metrics.counter("timeout_total").inc()
-                            status, payload = 504, error_body(
+                            answer = 504, error_body(
                                 "deadline_exceeded",
                                 "deadline exceeded",
                                 {"timeout_s": self.config.request_timeout},
                             )
+                    status, payload = answer
                 except ProtocolError as exc:
                     status, payload = 400, error_body(
                         exc.code, str(exc), exc.detail
@@ -308,19 +315,16 @@ class SchedulingService:
         for sp in result.pop("_spans", None) or ():
             obs.emit(sp)
 
-    async def _handle_schedule(self, body: dict, _headers: dict):
+    def _handle_schedule(self, body: dict, _headers: dict):
         req = ScheduleRequest.from_body(
             body,
             default_m=self.config.m,
             default_alpha=self.config.alpha,
             default_static=self.config.static,
         )
-        tasks = sorted(req.tasks, key=canonical_order)
         # cache identity uses the canonical registry name, so legacy
         # aliases ("der") and canonical spellings share one entry
-        key = canonical_plan_key(tasks, req.m, req.power, req.solver)
-        if not req.include_schedule:
-            key += ":light"
+        key = req.plan_key()
         with obs.span("cache.probe") as probe:
             cached = self.cache.get(key, PlanCache.MISS)
             hit = cached is not PlanCache.MISS
@@ -336,7 +340,6 @@ class SchedulingService:
         if outcome is None:
             job = self._job(
                 req,
-                tasks,
                 req.solver,
                 method=req.method,
                 include_schedule=req.include_schedule,
@@ -346,7 +349,7 @@ class SchedulingService:
             self.metrics.counter("coalesced_total").inc()
         # shielded: a request reaching its deadline answers 504 but leaves
         # the solve running for the other requests waiting on it
-        return await asyncio.shield(outcome)
+        return asyncio.shield(outcome)
 
     def _solve(self, key: str, job: dict) -> asyncio.Future:
         """Submit one miss's job and record its outcome under ``key``.
@@ -397,7 +400,7 @@ class SchedulingService:
             self._admission_pool[key] = controller
         return controller
 
-    async def _handle_admit(self, body: dict, _headers: dict):
+    def _handle_admit(self, body: dict, _headers: dict):
         req = AdmitRequest.from_body(
             body,
             default_m=self.config.m,
@@ -405,6 +408,9 @@ class SchedulingService:
             default_static=self.config.static,
             default_f_max=self.config.f_max,
         )
+        return self._admit(req)
+
+    async def _admit(self, req: AdmitRequest):
         async with self._admit_lock:  # admissions are stateful: serialize them
             admission = self._admission_for(req)
             if req.peek:
@@ -474,7 +480,7 @@ class SchedulingService:
             "n_subintervals": session.n_subintervals,
         }
 
-    async def _handle_solvers(self, _body: dict, _headers: dict):
+    def _handle_solvers(self, _body: dict, _headers: dict):
         from ..engine import solver_catalog
 
         degrade_to = (
@@ -496,8 +502,8 @@ class SchedulingService:
             "default_optimal": "interior-point",
         }
 
-    def _job(self, req, tasks: list, canonical_solver: str, **fields) -> dict:
-        """The pool job of one solve request: its sorted ``tasks``, its
+    def _job(self, req, canonical_solver: str, **fields) -> dict:
+        """The pool job of one solve request: its sorted task rows, its
         platform, ``fields``, and the request's trace context.
 
         A job running an exact backend also carries the solver timeout and
@@ -506,7 +512,8 @@ class SchedulingService:
         cost one watchdog thread per solve for nothing.
         """
         job = {
-            "tasks": [(t.release, t.deadline, t.work, t.name) for t in tasks],
+            # plain tuples: a NamedTuple row pickles through a Python call
+            "tasks": list(map(tuple, req.tasks)),
             "m": req.m,
             "alpha": req.power.alpha,
             "static": req.power.static,
@@ -534,15 +541,18 @@ class SchedulingService:
         code = "abandoned" if result.get("abandoned") else "internal"
         return error_body(code, result["error"])
 
-    async def _handle_optimal(self, body: dict, _headers: dict):
+    def _handle_optimal(self, body: dict, _headers: dict):
         req = OptimalRequest.from_body(
             body,
             default_m=self.config.m,
             default_alpha=self.config.alpha,
             default_static=self.config.static,
         )
-        tasks = sorted(req.tasks, key=canonical_order)
-        job = self._job(req, tasks, req.canonical_solver, solver=req.solver)
+        return self._optimal(
+            self._job(req, req.canonical_solver, solver=req.solver)
+        )
+
+    async def _optimal(self, job: dict):
         result = await self.dispatcher.solve_optimal(job)
         self._adopt_spans(result)
         if "error" in result:
@@ -551,7 +561,7 @@ class SchedulingService:
             self.metrics.counter("degraded_total").inc()
         return 200, result
 
-    async def _handle_metrics(self, _body: dict, headers: dict):
+    def _handle_metrics(self, _body: dict, headers: dict):
         accept = headers.get("accept", "").lower()
         if "text/plain" in accept or "openmetrics" in accept:
             # Prometheus scrape: text exposition with point-in-time extras
@@ -593,7 +603,7 @@ class SchedulingService:
             ),
         }
 
-    async def _handle_healthz(self, _body: dict, _headers: dict):
+    def _handle_healthz(self, _body: dict, _headers: dict):
         return 200, {
             "status": "ok",
             "uptime_s": round(time.monotonic() - self._started_at, 3),

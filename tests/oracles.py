@@ -23,7 +23,13 @@ batched or incrementally:
   checks;
 * :func:`schedule_json_reference` — ``json.dumps`` of a document whose
   segment dicts are built from :class:`Segment` objects, behind
-  :func:`repro.io.schedio.schedule_to_json`'s compact writer.
+  :func:`repro.io.schedio.schedule_to_json`'s compact writer;
+* :func:`parse_tasks_field` — a request's ``tasks`` field parsed into a
+  :class:`TaskSet` of :class:`Task` objects, behind
+  :func:`repro.service.protocol.parse_task_rows`'s validated rows;
+* :func:`plan_key_reference` — a SHA-256 over a JSON document of the
+  sorted ``repr`` strings of the task fields, behind
+  :func:`repro.service.protocol.canonical_plan_key`'s float64 bits.
 
 The tests and the benchmarks import this module; nothing under ``src/``
 does.
@@ -31,6 +37,7 @@ does.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 
@@ -54,9 +61,11 @@ from repro.core import (
     wrap_schedule,
 )
 from repro.io.schedio import schedule_to_dict
+from repro.io.taskio import taskset_from_dict
 from repro.optimal import DemandRealization
 from repro.optimal.flow import _EPS, _saturated
 from repro.power import PolynomialPower
+from repro.service.protocol import ProtocolError
 from repro.sim.validate import Violation, ViolationKind
 
 __all__ = [
@@ -493,3 +502,70 @@ def schedule_json_reference(schedule: Schedule) -> str:
         for s in schedule
     ]
     return json.dumps(doc)
+
+
+# -- request parsing and the plan key ----------------------------------------------
+
+
+def _parse_task_row(row, index: int) -> Task:
+    try:
+        if isinstance(row, dict):
+            return Task(
+                release=float(row["release"]),
+                deadline=float(row["deadline"]),
+                work=float(row["work"]),
+                name=str(row.get("name", "")),
+            )
+        if isinstance(row, (list, tuple)) and len(row) in (3, 4):
+            name = str(row[3]) if len(row) == 4 else ""
+            return Task(
+                release=float(row[0]),
+                deadline=float(row[1]),
+                work=float(row[2]),
+                name=name,
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"task #{index} is malformed: {exc}") from exc
+    raise ProtocolError(
+        f"task #{index} must be a [release, deadline, work(, name)] row "
+        f"or an object with those fields"
+    )
+
+
+def parse_tasks_field(obj) -> TaskSet:
+    """Parse the ``tasks`` field of a request into a validated TaskSet."""
+    if isinstance(obj, dict):
+        # the on-disk envelope format, embedded verbatim
+        try:
+            return taskset_from_dict(obj)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from exc
+    if isinstance(obj, list):
+        if not obj:
+            raise ProtocolError("tasks list is empty")
+        return TaskSet(_parse_task_row(row, i) for i, row in enumerate(obj))
+    raise ProtocolError("tasks must be a list or a repro-taskset object")
+
+
+def plan_key_reference(tasks, m: int, power: PolynomialPower, method: str) -> str:
+    """SHA-256 cache key, invariant to task order and JSON field order.
+
+    Floats go through :func:`repr`, which is the shortest exact
+    representation in Python 3 — two bit-identical instances always get
+    the same key, and nearby-but-different floats never collide.
+    """
+    rows = sorted(
+        (repr(t.release), repr(t.deadline), repr(t.work), t.name) for t in tasks
+    )
+    payload = json.dumps(
+        {
+            "tasks": rows,
+            "m": int(m),
+            "alpha": repr(power.alpha),
+            "static": repr(power.static),
+            "gamma": repr(power.gamma),
+            "method": method,
+        },
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()

@@ -11,7 +11,8 @@ from repro.service.protocol import (
     OptimalRequest,
     ProtocolError,
     ScheduleRequest,
-    parse_tasks_field,
+    TaskRow,
+    parse_task_rows,
 )
 
 _ROWS = [[0.0, 10.0, 8.0], [2.0, 18.0, 14.0, "named"]]
@@ -19,36 +20,36 @@ _ROWS = [[0.0, 10.0, 8.0], [2.0, 18.0, 14.0, "named"]]
 
 class TestTasksField:
     def test_row_lists(self):
-        tasks = parse_tasks_field(_ROWS)
+        tasks = parse_task_rows(_ROWS)
         assert len(tasks) == 2
         assert tasks[1].name == "named"
 
     def test_object_rows(self):
-        tasks = parse_tasks_field(
+        tasks = parse_task_rows(
             [{"release": 0, "deadline": 5, "work": 2, "name": "t"}]
         )
-        assert tasks[0] == Task(0.0, 5.0, 2.0, name="t")
+        assert tasks[0] == TaskRow(0.0, 5.0, 2.0, name="t")
 
     def test_envelope_form(self):
         ts = TaskSet([Task(0.0, 4.0, 1.0)])
         envelope = json.loads(taskset_to_json(ts))
-        assert parse_tasks_field(envelope) == ts
+        assert parse_task_rows(envelope) == [TaskRow(0.0, 4.0, 1.0)]
 
     def test_rejects_empty_list(self):
         with pytest.raises(ProtocolError, match="empty"):
-            parse_tasks_field([])
+            parse_task_rows([])
 
     def test_rejects_bad_row_shape(self):
         with pytest.raises(ProtocolError, match="task #0"):
-            parse_tasks_field([[1.0, 2.0]])
+            parse_task_rows([[1.0, 2.0]])
 
     def test_rejects_non_list(self):
         with pytest.raises(ProtocolError, match="tasks must be"):
-            parse_tasks_field("nope")
+            parse_task_rows("nope")
 
     def test_task_constructor_errors_become_protocol_errors(self):
         with pytest.raises(ProtocolError, match="task #0"):
-            parse_tasks_field([[5.0, 1.0, 2.0]])  # deadline before release
+            parse_task_rows([[5.0, 1.0, 2.0]])  # deadline before release
 
 
 class TestScheduleRequest:

@@ -139,12 +139,7 @@ class TestScheduleEndpoint:
 
         def on_solve_path(task) -> bool:
             name = task.get_coro().__qualname__
-            # before Python 3.12, asyncio.wait_for runs each handler in a
-            # task of its own
-            return name.startswith("MicroBatcher.") or (
-                name.startswith("SchedulingService.")
-                and name != "SchedulingService._handle_schedule"
-            )
+            return name.startswith(("MicroBatcher.", "SchedulingService."))
 
         async def scenario(service):
             assert service.batcher.slots == 1
@@ -169,6 +164,42 @@ class TestScheduleEndpoint:
             results = await asyncio.wait_for(asyncio.gather(*clients), timeout=30)
             assert [status for status, _ in results] == [200] * 6
             assert (solve_tasks, queued, service.batcher.jobs) == (1, 5, 6)
+
+        run_with_service(scenario)
+
+    def test_a_hit_creates_no_task(self):
+        """Keep-alive cache hits are answered in the connection's own task:
+        the loop creates no task for them (no deadline task either)."""
+        hits = 20
+
+        async def scenario(service):
+            loop = asyncio.get_running_loop()
+            created = []
+
+            def counting_factory(loop, coro, **kwargs):
+                created.append(coro.__qualname__)
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            client = HttpClient("127.0.0.1", service.port)
+            await client.connect()
+            try:
+                status, body = await client.request(
+                    "POST", "/v1/schedule", _schedule_payload()
+                )
+                assert status == 200 and body["result"]["cache_hit"] is False
+                loop.set_task_factory(counting_factory)
+                try:
+                    for _ in range(hits):
+                        status, body = await client.request(
+                            "POST", "/v1/schedule", _schedule_payload()
+                        )
+                        assert status == 200 and body["result"]["cache_hit"]
+                finally:
+                    loop.set_task_factory(None)
+            finally:
+                await client.close()
+            assert created == []
+            assert service.metrics.counter("cache_hits").value == hits
 
         run_with_service(scenario)
 

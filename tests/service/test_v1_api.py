@@ -229,6 +229,42 @@ class TestUnifiedErrors:
 
         run_with_service(scenario, _config())
 
+    def test_null_platform_numbers_are_400s_naming_the_field(self):
+        """An explicit ``null`` for a platform number is a client error on
+        every endpoint that reads one; ``"f_max": null`` alone means
+        uncapped."""
+        bodies = {
+            "/schedule": _schedule_payload(),
+            "/optimal": {"tasks": _TASKS, "m": 2},
+            "/admit": {"task": [0.0, 5.0, 2.0]},
+        }
+
+        async def scenario(service):
+            client = HttpClient("127.0.0.1", service.port)
+            await client.connect()
+            try:
+                for base, body in bodies.items():
+                    for field in ("m", "alpha", "static", "gamma"):
+                        for path in (base, "/v1" + base):
+                            status, _, reply = await client.request_full(
+                                "POST", path, {**body, field: None}
+                            )
+                            assert status == 400, (path, field)
+                            error = reply["error"]
+                            message = error if isinstance(error, str) else (
+                                error["message"]
+                            )
+                            assert message.startswith(f"{field} must be"), message
+                status, _, reply = await client.request_full(
+                    "POST", "/v1/admit", {**bodies["/admit"], "f_max": None}
+                )
+                assert status == 200
+                assert reply["result"]["f_max"] is None
+            finally:
+                await client.close()
+
+        run_with_service(scenario, _config())
+
     def test_invalid_json_yields_unified_400(self):
         async def scenario(service):
             reader, writer = await asyncio.open_connection(

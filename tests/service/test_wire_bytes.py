@@ -19,7 +19,7 @@ from repro.service.protocol import (
     ScheduleRequest,
     canonical_order,
     canonical_plan_key,
-    parse_tasks_field,
+    parse_task_rows,
     v1_envelope,
 )
 from tests.conftest import run_with_service
@@ -43,9 +43,8 @@ def _worker_result(body: dict, **job_over) -> dict:
     The worker's bytes must be ``json.dumps`` output: decoding and
     re-encoding them gives them back unchanged.
     """
-    tasks = sorted(parse_tasks_field(body["tasks"]), key=canonical_order)
     job = {
-        "tasks": [(t.release, t.deadline, t.work, t.name) for t in tasks],
+        "tasks": sorted(parse_task_rows(body["tasks"])),
         "m": body["m"],
         "alpha": body["alpha"],
         "static": body["static"],
